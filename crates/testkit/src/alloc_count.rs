@@ -28,7 +28,7 @@ pub fn enabled() -> bool {
 pub fn allocs() -> u64 {
     #[cfg(feature = "count-allocs")]
     {
-        counting::ALLOCS.load(std::sync::atomic::Ordering::Relaxed)
+        counting::COUNTERS.allocs.load(std::sync::atomic::Ordering::Relaxed)
     }
     #[cfg(not(feature = "count-allocs"))]
     {
@@ -41,7 +41,7 @@ pub fn allocs() -> u64 {
 pub fn frees() -> u64 {
     #[cfg(feature = "count-allocs")]
     {
-        counting::FREES.load(std::sync::atomic::Ordering::Relaxed)
+        counting::COUNTERS.frees.load(std::sync::atomic::Ordering::Relaxed)
     }
     #[cfg(not(feature = "count-allocs"))]
     {
@@ -55,7 +55,7 @@ pub fn frees() -> u64 {
 pub fn live_bytes() -> u64 {
     #[cfg(feature = "count-allocs")]
     {
-        counting::LIVE.load(std::sync::atomic::Ordering::Relaxed).max(0) as u64
+        counting::COUNTERS.live.load(std::sync::atomic::Ordering::Relaxed).max(0) as u64
     }
     #[cfg(not(feature = "count-allocs"))]
     {
@@ -68,7 +68,7 @@ pub fn live_bytes() -> u64 {
 pub fn peak_bytes() -> u64 {
     #[cfg(feature = "count-allocs")]
     {
-        counting::PEAK.load(std::sync::atomic::Ordering::Relaxed).max(0) as u64
+        counting::COUNTERS.peak.load(std::sync::atomic::Ordering::Relaxed).max(0) as u64
     }
     #[cfg(not(feature = "count-allocs"))]
     {
@@ -83,8 +83,8 @@ pub fn reset_peak() {
     #[cfg(feature = "count-allocs")]
     {
         use std::sync::atomic::Ordering;
-        let live = counting::LIVE.load(Ordering::Relaxed);
-        counting::PEAK.store(live, Ordering::Relaxed);
+        let counters = &counting::COUNTERS;
+        counters.peak.store(counters.live.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 }
 
@@ -93,22 +93,40 @@ mod counting {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-    pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    pub static FREES: AtomicU64 = AtomicU64::new(0);
-    /// Live bytes. Signed: frees of pre-instrumentation memory may drive
-    /// the balance below zero transiently; readers clamp at 0.
-    pub static LIVE: AtomicI64 = AtomicI64::new(0);
-    /// High-water mark of `LIVE` (monotone between `reset_peak` calls).
-    pub static PEAK: AtomicI64 = AtomicI64::new(0);
+    /// The running totals, aligned so that they fill a 128-byte block (two
+    /// cache lines, the unit adjacent-line prefetch moves) of their own.
+    /// Every allocation on every thread writes them; an unrelated static
+    /// sharing their line — a function pointer read on every call, a flag
+    /// read on every metric — would pay for that traffic on each read, and
+    /// which statics the linker places beside them changes from build to
+    /// build, so multi-threaded timings under this feature would move with
+    /// the link layout of code they never run.
+    #[repr(align(128))]
+    pub struct Counters {
+        pub allocs: AtomicU64,
+        pub frees: AtomicU64,
+        /// Live bytes. Signed: frees of pre-instrumentation memory may drive
+        /// the balance below zero transiently; readers clamp at 0.
+        pub live: AtomicI64,
+        /// High-water mark of `live` (monotone between `reset_peak` calls).
+        pub peak: AtomicI64,
+    }
+
+    pub static COUNTERS: Counters = Counters {
+        allocs: AtomicU64::new(0),
+        frees: AtomicU64::new(0),
+        live: AtomicI64::new(0),
+        peak: AtomicI64::new(0),
+    };
 
     /// Charges `delta` bytes to the live gauge and folds the new level into
     /// the peak. The update is racy across threads (two relaxed atomics),
     /// which is fine for instrumentation: the mark can only under-report by
     /// the width of a concurrent in-flight update, never drift.
     fn charge(delta: i64) {
-        let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        let live = COUNTERS.live.fetch_add(delta, Ordering::Relaxed) + delta;
         if delta > 0 {
-            PEAK.fetch_max(live, Ordering::Relaxed);
+            COUNTERS.peak.fetch_max(live, Ordering::Relaxed);
         }
     }
 
@@ -118,25 +136,25 @@ mod counting {
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            COUNTERS.allocs.fetch_add(1, Ordering::Relaxed);
             charge(layout.size() as i64);
             unsafe { System.alloc(layout) }
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            COUNTERS.allocs.fetch_add(1, Ordering::Relaxed);
             charge(layout.size() as i64);
             unsafe { System.alloc_zeroed(layout) }
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            COUNTERS.allocs.fetch_add(1, Ordering::Relaxed);
             charge(new_size as i64 - layout.size() as i64);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            FREES.fetch_add(1, Ordering::Relaxed);
+            COUNTERS.frees.fetch_add(1, Ordering::Relaxed);
             charge(-(layout.size() as i64));
             unsafe { System.dealloc(ptr, layout) }
         }

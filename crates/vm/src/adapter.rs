@@ -6,7 +6,7 @@
 
 use crate::arena;
 use crate::batch::{self, BatchVm};
-use crate::cache::{self, CachedRound, RoundKey};
+use crate::cache::{self, RoundKey, RoundRef};
 use crate::instr::REG_COUNT;
 use crate::machine::{DecodedProgram, Machine, RoundIo};
 use crate::predict;
@@ -15,6 +15,11 @@ use goc_core::msg::{Message, ServerIn, ServerOut, UserIn, UserOut};
 use goc_core::snap::{SnapError, SnapReader, SnapWriter};
 use goc_core::strategy::{Halt, ServerStrategy, StepCtx, UserStrategy};
 use std::sync::Arc;
+
+/// Tag opening a [`VmUser`] snapshot block. The previous layout (which
+/// carried a list of deferred cache rounds and a separate halt view) began
+/// with the cache flag, a bool, so its first byte is 0 or 1 and never this.
+const VM_USER_SNAP_LAYOUT: u8 = 2;
 
 /// A user strategy interpreting a VM [`Program`].
 ///
@@ -44,15 +49,11 @@ pub struct VmUser {
     program_hash: u64,
     /// Rolling hash of every inbox seen so far ([`cache::extend_prefix`]).
     prefix_hash: u128,
-    /// Inputs of rounds served from the cache that the machine has not
-    /// executed yet; replayed in order on the next cache miss.
-    pending_replay: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Halt state as observed through the cache (mirrors what
-    /// `machine.halted()` would be after replay).
-    halted_view: Option<Vec<u8>>,
     /// Reusable round buffers: one `RoundIo` lives as long as the candidate,
     /// so steady-state rounds reuse its allocations instead of building
-    /// fresh `Vec`s. Arena-backed under batch mode (recycled on drop).
+    /// fresh `Vec`s. Holds the last round's outboxes, whether executed or
+    /// served from the cache. Arena-backed under batch mode (recycled on
+    /// drop).
     io: RoundIo,
     /// The program's jump-table decode, shared across rounds (and, when the
     /// enumerator spawned this candidate in a batch, across every candidate
@@ -86,8 +87,6 @@ impl VmUser {
             use_cache: cache::enabled_by_env(),
             program_hash,
             prefix_hash: cache::PREFIX_EMPTY,
-            pending_replay: Vec::new(),
-            halted_view: None,
             io,
             decoded: None,
             rounds_seen: 0,
@@ -106,11 +105,11 @@ impl VmUser {
 
     /// The underlying machine (registers, program, counters).
     ///
-    /// When the candidate cache is on, rounds served from it are *not*
-    /// executed eagerly, so the machine's registers and retired-instruction
-    /// counter may lag the interaction until the next cache miss replays
-    /// them. Outputs and halt state (via [`UserStrategy::halted`]) are
-    /// unaffected.
+    /// The machine is always current, with the candidate cache on or off: a
+    /// round served from the cache moves it to the registers, cumulative
+    /// retired count and halt state recorded for that round, which are
+    /// exactly the ones executing the round would reach. Cached and
+    /// uncached users therefore agree on the machine after every round.
     pub fn machine(&self) -> &Machine {
         &self.machine
     }
@@ -139,18 +138,20 @@ impl VmUser {
         }
     }
 
-    /// Executes one round through the cache: hash the inbox into the prefix,
-    /// serve a memoised round if one exists, otherwise replay any skipped
-    /// rounds and run this one for real, recording it.
+    /// Executes one round through the cache into `self.io`'s outboxes: hash
+    /// the inbox into the prefix, then either adopt the memoised round
+    /// (outboxes and post-round machine state) or run the round for real
+    /// and record it.
     ///
     /// Also feeds the [`predict`] continuation predictor: round 0's outputs
     /// define the candidate's first-output class, and round 1's inbox is the
     /// class's observed continuation (scored against the top-K prediction,
     /// counting `vm.prewarm.mispredict`).
-    fn cached_round(&mut self, in_a: &[u8], in_b: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        if self.halted_view.is_some() {
+    fn cached_round(&mut self, in_a: &[u8], in_b: &[u8]) {
+        if self.machine.halted().is_some() {
             // A halted machine is inert; don't grow the prefix or the cache.
-            return (Vec::new(), Vec::new());
+            self.io.reset();
+            return;
         }
         if self.rounds_seen == 1 {
             if let Some(sig) = self.first_sig {
@@ -159,70 +160,50 @@ impl VmUser {
         }
         self.prefix_hash = cache::extend_prefix(self.prefix_hash, in_a, in_b);
         let key = self.round_key();
-        let program = self.machine.program().as_bytes();
-        let result = if let Some(hit) = cache::lookup(&key, program) {
-            self.pending_replay.push((to_owned_bytes(in_a), to_owned_bytes(in_b)));
-            self.halted_view = hit.halted;
-            (hit.out_a, hit.out_b)
-        } else {
-            let replay = std::mem::take(&mut self.pending_replay);
-            for (a, b) in replay {
-                self.io.set_inputs(&a, &b);
+        let io = &mut self.io;
+        let hit = cache::serve(&key, self.machine.program().as_bytes(), |round| {
+            io.reset();
+            io.out_a.extend_from_slice(round.out_a);
+            io.out_b.extend_from_slice(round.out_b);
+            (*round.regs, round.retired, round.halted.map(<[u8]>::to_vec))
+        });
+        match hit {
+            Some((regs, retired, halted)) => self.machine.adopt(regs, retired, halted),
+            None => {
+                self.io.set_inputs(in_a, in_b);
                 self.run_round();
-                if batch::enabled() {
-                    arena::put_bytes(a);
-                    arena::put_bytes(b);
-                }
+                let m = &self.machine;
+                cache::record(
+                    key,
+                    m.program().as_bytes(),
+                    RoundRef {
+                        out_a: &self.io.out_a,
+                        out_b: &self.io.out_b,
+                        halted: m.halted(),
+                        regs: m.regs(),
+                        retired: m.instructions_retired(),
+                    },
+                );
             }
-            self.io.set_inputs(in_a, in_b);
-            self.run_round();
-            let halted = self.machine.halted().map(<[u8]>::to_vec);
-            cache::insert(
-                key,
-                self.machine.program().as_bytes(),
-                CachedRound {
-                    out_a: self.io.out_a.clone(),
-                    out_b: self.io.out_b.clone(),
-                    halted: halted.clone(),
-                },
-            );
-            self.halted_view = halted;
-            (self.io.out_a.clone(), self.io.out_b.clone())
-        };
+        }
         if self.rounds_seen == 0 {
-            self.first_sig = Some(predict::signature(&result.0, &result.1));
+            self.first_sig = Some(predict::signature(&self.io.out_a, &self.io.out_b));
         }
         self.rounds_seen = self.rounds_seen.saturating_add(1);
-        result
-    }
-}
-
-/// Copies `src` into an owned buffer, arena-backed under batch mode.
-fn to_owned_bytes(src: &[u8]) -> Vec<u8> {
-    if batch::enabled() {
-        let mut v = arena::take_bytes(src.len());
-        v.extend_from_slice(src);
-        v
-    } else {
-        src.to_vec()
     }
 }
 
 impl Drop for VmUser {
     /// Elimination recycles the candidate's buffers into the
-    /// [`arena`](crate::arena) under batch mode: its `RoundIo`, any pending
-    /// replay inboxes, and the program bytes themselves. Safe with the
-    /// candidate cache because cache entries pin their own program copies
-    /// (see `arena` module docs and DESIGN.md §11).
+    /// [`arena`](crate::arena) under batch mode: its `RoundIo` and the
+    /// program bytes themselves. Safe with the candidate cache because cache
+    /// entries pin their own program copies (see `arena` module docs and
+    /// DESIGN.md §11).
     fn drop(&mut self) {
         if !batch::enabled() {
             return;
         }
         arena::recycle_io(&mut self.io);
-        for (a, b) in self.pending_replay.drain(..) {
-            arena::put_bytes(a);
-            arena::put_bytes(b);
-        }
         let machine =
             std::mem::replace(&mut self.machine, Machine::with_fuel(Program::default(), 1));
         arena::put_bytes(machine.into_program().into_bytes());
@@ -265,7 +246,7 @@ pub fn prewarm_batch<'a>(users: impl IntoIterator<Item = &'a mut VmUser>) {
             fuel: u.machine.fuel_per_round(),
             prefix_hash: first_prefix,
         };
-        if cache::lookup(&key, u.machine.program().as_bytes()).is_none() {
+        if cache::serve(&key, u.machine.program().as_bytes(), |_| ()).is_none() {
             vm.push_decoded(
                 Arc::clone(u.decoded.as_ref().expect("assigned above")),
                 u.machine.fuel_per_round(),
@@ -285,16 +266,27 @@ pub fn prewarm_batch<'a>(users: impl IntoIterator<Item = &'a mut VmUser>) {
             fuel: u.machine.fuel_per_round(),
             prefix_hash: first_prefix,
         };
-        cache::insert(
-            key,
-            u.machine.program().as_bytes(),
-            CachedRound {
-                out_a: ios[k].out_a.clone(),
-                out_b: ios[k].out_b.clone(),
-                halted: vm.halted(k).map(<[u8]>::to_vec),
-            },
-        );
+        let regs = vm.regs(k);
+        cache::record(key, u.machine.program().as_bytes(), lane_round(&vm, k, &ios[k], &regs));
         arena::recycle_io(&mut ios[k]);
+    }
+}
+
+/// The round lane `k` of `vm` just ran into `io`, as a cache entry view;
+/// `regs` is the lane's register file (`vm.regs(k)`, gathered by the
+/// caller, which keeps it for fixed-point detection).
+fn lane_round<'a>(
+    vm: &'a BatchVm,
+    k: usize,
+    io: &'a RoundIo,
+    regs: &'a [u64; REG_COUNT],
+) -> RoundRef<'a> {
+    RoundRef {
+        out_a: &io.out_a,
+        out_b: &io.out_b,
+        halted: vm.halted(k),
+        regs,
+        retired: vm.instructions_retired(k),
     }
 }
 
@@ -377,9 +369,9 @@ pub fn prewarm_deep<'a>(users: impl IntoIterator<Item = &'a mut VmUser>, depth: 
                 fuel: u.machine.fuel_per_round(),
                 prefix_hash: prefix,
             };
-            match cache::lookup(&key, u.machine.program().as_bytes()) {
-                Some(hit) if hit.halted.is_some() => break,
-                Some(_) => {}
+            match cache::serve(&key, u.machine.program().as_bytes(), |hit| hit.halted.is_some()) {
+                Some(true) => break,
+                Some(false) => {}
                 None => {
                     warmed = false;
                     break;
@@ -401,10 +393,11 @@ pub fn prewarm_deep<'a>(users: impl IntoIterator<Item = &'a mut VmUser>, depth: 
     let mut ios: Vec<RoundIo> = lanes.iter().map(|_| arena::take_io()).collect();
     let mut prefix = cache::PREFIX_EMPTY;
     let mut done: Vec<bool> = vec![false; lanes.len()];
-    // Register snapshots from before the current round, for fixed-point
-    // detection (freshly pushed lanes start all-zero, like the scalar
-    // machine).
-    let mut prev_regs: Vec<[u64; REG_COUNT]> = (0..lanes.len()).map(|k| vm.regs(k)).collect();
+    // Register snapshots and retired counts from before the current round,
+    // for fixed-point detection and fill (freshly pushed lanes start
+    // all-zero, like the scalar machine).
+    let mut prev: Vec<([u64; REG_COUNT], u64)> =
+        (0..lanes.len()).map(|k| (vm.regs(k), vm.instructions_retired(k))).collect();
     for r in 0..depth {
         prefix = cache::extend_prefix(prefix, &[], &[]);
         for io in ios.iter_mut() {
@@ -424,30 +417,33 @@ pub fn prewarm_deep<'a>(users: impl IntoIterator<Item = &'a mut VmUser>, depth: 
             }
             let u = &users[i];
             let fuel = u.machine.fuel_per_round();
+            let program = u.machine.program().as_bytes();
             let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: prefix };
-            let halted = vm.halted(k).map(<[u8]>::to_vec);
-            let is_halt = halted.is_some();
-            let round_entry =
-                CachedRound { out_a: ios[k].out_a.clone(), out_b: ios[k].out_b.clone(), halted };
-            cache::insert(key, u.machine.program().as_bytes(), round_entry.clone());
-            if is_halt {
+            let regs = vm.regs(k);
+            let round = lane_round(&vm, k, &ios[k], &regs);
+            cache::record(key, program, round);
+            if round.halted.is_some() {
                 done[k] = true;
-            } else if vm.regs(k) == prev_regs[k] {
+            } else if regs == prev[k].0 {
                 // Fixed point: the round left the registers untouched, so
-                // every remaining empty-input round replays it verbatim —
-                // copy its entry down the rest of the chain and stop
-                // burning this lane's fuel.
+                // every remaining empty-input round repeats it verbatim,
+                // retiring the same number of instructions — copy its entry
+                // down the rest of the chain, advancing the cumulative
+                // retired count, and stop burning this lane's fuel.
                 goc_core::obs_count_nd!("vm.prewarm.fixedpoint", 1u64);
+                let delta = round.retired - prev[k].1;
                 let mut p = prefix;
+                let mut copy = round;
                 for _ in r + 1..depth {
                     p = cache::extend_prefix(p, &[], &[]);
+                    copy.retired += delta;
                     let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: p };
-                    cache::insert(key, u.machine.program().as_bytes(), round_entry.clone());
+                    cache::record(key, program, copy);
                 }
                 vm.park(k);
                 done[k] = true;
             } else {
-                prev_regs[k] = vm.regs(k);
+                prev[k] = (regs, round.retired);
                 all_done = false;
             }
         }
@@ -495,11 +491,10 @@ fn speculate_predicted(users: &[&mut VmUser], depth: usize) {
         let program = u.machine.program().as_bytes();
         let fuel = u.machine.fuel_per_round();
         let key0 = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: first_prefix };
-        let Some(first) = cache::lookup(&key0, program) else { continue };
-        if first.halted.is_some() {
-            continue;
-        }
-        let sig = predict::signature(&first.out_a, &first.out_b);
+        let first = cache::serve(&key0, program, |first| {
+            first.halted.is_none().then(|| predict::signature(first.out_a, first.out_b))
+        });
+        let Some(Some(sig)) = first else { continue };
         for (pa, pb) in predict::predict(sig, top_k) {
             if pa.is_empty() && pb.is_empty() {
                 continue; // the empty chain is speculated unconditionally
@@ -511,9 +506,9 @@ fn speculate_predicted(users: &[&mut VmUser], depth: usize) {
             for _ in 1..depth {
                 prefix = cache::extend_prefix(prefix, &pa, &pb);
                 let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: prefix };
-                match cache::lookup(&key, program) {
-                    Some(hit) if hit.halted.is_some() => break,
-                    Some(_) => {}
+                match cache::serve(&key, program, |hit| hit.halted.is_some()) {
+                    Some(true) => break,
+                    Some(false) => {}
                     None => {
                         warmed = false;
                         break;
@@ -544,7 +539,8 @@ fn speculate_predicted(users: &[&mut VmUser], depth: usize) {
     vm.round(&mut ios);
     let mut done: Vec<bool> = vec![false; specs.len()];
     let mut prefixes: Vec<u128> = vec![first_prefix; specs.len()];
-    let mut prev_regs: Vec<[u64; REG_COUNT]> = (0..specs.len()).map(|k| vm.regs(k)).collect();
+    let mut prev: Vec<([u64; REG_COUNT], u64)> =
+        (0..specs.len()).map(|k| (vm.regs(k), vm.instructions_retired(k))).collect();
     for r in 1..depth {
         let mut live = 0u64;
         for (k, (_, pa, pb)) in specs.iter().enumerate() {
@@ -566,30 +562,33 @@ fn speculate_predicted(users: &[&mut VmUser], depth: usize) {
             }
             let u = &users[i];
             let fuel = u.machine.fuel_per_round();
+            let program = u.machine.program().as_bytes();
             prefixes[k] = cache::extend_prefix(prefixes[k], pa, pb);
             let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: prefixes[k] };
-            let halted = vm.halted(k).map(<[u8]>::to_vec);
-            let is_halt = halted.is_some();
-            let round_entry =
-                CachedRound { out_a: ios[k].out_a.clone(), out_b: ios[k].out_b.clone(), halted };
-            cache::insert(key, u.machine.program().as_bytes(), round_entry.clone());
-            if is_halt {
+            let regs = vm.regs(k);
+            let round = lane_round(&vm, k, &ios[k], &regs);
+            cache::record(key, program, round);
+            if round.halted.is_some() {
                 done[k] = true;
-            } else if vm.regs(k) == prev_regs[k] {
+            } else if regs == prev[k].0 {
                 // Fixed point under a stationary inbox: every remaining
-                // round replays this one verbatim (same registers, same
-                // inputs) — fill the rest of the chain and park the lane.
+                // round repeats this one verbatim (same registers, same
+                // inputs, same retired delta) — fill the rest of the chain
+                // and park the lane.
                 goc_core::obs_count_nd!("vm.prewarm.fixedpoint", 1u64);
+                let delta = round.retired - prev[k].1;
                 let mut p = prefixes[k];
+                let mut copy = round;
                 for _ in r + 1..depth {
                     p = cache::extend_prefix(p, pa, pb);
+                    copy.retired += delta;
                     let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: p };
-                    cache::insert(key, u.machine.program().as_bytes(), round_entry.clone());
+                    cache::record(key, program, copy);
                 }
                 vm.park(k);
                 done[k] = true;
             } else {
-                prev_regs[k] = vm.regs(k);
+                prev[k] = (regs, round.retired);
             }
         }
     }
@@ -600,17 +599,16 @@ fn speculate_predicted(users: &[&mut VmUser], depth: usize) {
 
 impl UserStrategy for VmUser {
     fn step(&mut self, _ctx: &mut StepCtx<'_>, input: &UserIn) -> UserOut {
+        let (in_a, in_b) = (input.from_server.as_bytes(), input.from_world.as_bytes());
         if self.use_cache {
-            let (out_a, out_b) =
-                self.cached_round(input.from_server.as_bytes(), input.from_world.as_bytes());
-            UserOut { to_server: Message::from_bytes(out_a), to_world: Message::from_bytes(out_b) }
+            self.cached_round(in_a, in_b);
         } else {
-            self.io.set_inputs(input.from_server.as_bytes(), input.from_world.as_bytes());
+            self.io.set_inputs(in_a, in_b);
             self.run_round();
-            UserOut {
-                to_server: Message::from_bytes(&self.io.out_a),
-                to_world: Message::from_bytes(&self.io.out_b),
-            }
+        }
+        UserOut {
+            to_server: Message::from_bytes(&self.io.out_a),
+            to_world: Message::from_bytes(&self.io.out_b),
         }
     }
 
@@ -619,11 +617,7 @@ impl UserStrategy for VmUser {
     }
 
     fn halted(&self) -> Option<Halt> {
-        if self.use_cache {
-            self.halted_view.as_ref().map(|out| Halt::with_output(out.clone()))
-        } else {
-            self.machine.halted().map(|out| Halt::with_output(out.to_vec()))
-        }
+        self.machine.halted().map(|out| Halt::with_output(out.to_vec()))
     }
 
     fn name(&self) -> String {
@@ -631,29 +625,23 @@ impl UserStrategy for VmUser {
     }
 
     fn save_snap(&self, w: &mut SnapWriter<'_>) -> Result<(), SnapError> {
-        // The cache switch is configuration, not state: under the cache the
-        // machine's registers lag the interaction (rounds served from the
-        // cache are replayed lazily), so a snapshot taken with the cache on
-        // is only resumable with the cache on — and vice versa.
+        // The layout tag comes first so that a block written by an older
+        // layout is refused as a bad tag instead of being misparsed. The
+        // cache switch is configuration, not state, but the prefix hash is
+        // only maintained with the cache on, so a snapshot taken with the
+        // cache on is only resumable with the cache on — and vice versa.
+        w.u8(VM_USER_SNAP_LAYOUT);
         w.bool(self.use_cache);
         w.block(|w| self.machine.save_snap(w))?;
         w.u128(self.prefix_hash);
-        w.u64(self.pending_replay.len() as u64);
-        for (a, b) in &self.pending_replay {
-            w.bytes(a);
-            w.bytes(b);
-        }
-        match &self.halted_view {
-            None => w.u8(0),
-            Some(out) => {
-                w.u8(1);
-                w.bytes(out);
-            }
-        }
         Ok(())
     }
 
     fn restore_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match r.u8("vm-user snapshot layout")? {
+            VM_USER_SNAP_LAYOUT => {}
+            found => return Err(SnapError::BadTag { context: "vm-user snapshot layout", found }),
+        }
         let use_cache = r.bool("vm-user cache flag")?;
         if use_cache != self.use_cache {
             return Err(SnapError::Mismatch {
@@ -666,18 +654,6 @@ impl UserStrategy for VmUser {
         self.machine.restore_snap(&mut block)?;
         block.finish()?;
         self.prefix_hash = r.u128("vm-user prefix hash")?;
-        let n = r.count("vm-user replay count")?;
-        self.pending_replay.clear();
-        for _ in 0..n {
-            let a = r.bytes("vm-user replay inbox a")?.to_vec();
-            let b = r.bytes("vm-user replay inbox b")?.to_vec();
-            self.pending_replay.push((a, b));
-        }
-        self.halted_view = match r.u8("vm-user halt tag")? {
-            0 => None,
-            1 => Some(r.bytes("vm-user halt output")?.to_vec()),
-            found => return Err(SnapError::BadTag { context: "vm-user halt tag", found }),
-        };
         // The decode table is a pure function of the program bytes; drop any
         // stale pin and let the next round rebuild (or re-share) it.
         self.decoded = None;
@@ -955,6 +931,10 @@ mod tests {
             let mut r = SnapReader::new(&bytes);
             restored.restore_snap(&mut r).unwrap();
             r.finish().unwrap();
+            let state = |u: &VmUser| {
+                (*u.machine().regs(), u.machine().instructions_retired(), UserStrategy::halted(u))
+            };
+            assert_eq!(state(&restored), state(&live), "cache={cache}: restored state differs");
 
             for round in 9..25 {
                 let mut c1 = StepCtx::new(round, &mut rng);
@@ -962,8 +942,41 @@ mod tests {
                 let mut c2 = StepCtx::new(round, &mut rng);
                 let out_restored = restored.step(&mut c2, &input);
                 assert_eq!(out_live, out_restored, "cache={cache} diverged at round {round}");
+                assert_eq!(state(&restored), state(&live), "cache={cache} state at round {round}");
             }
-            assert_eq!(UserStrategy::halted(&live), UserStrategy::halted(&restored));
+        }
+    }
+
+    #[test]
+    fn vm_user_snapshot_in_the_replay_list_layout_is_refused() {
+        use goc_core::snap::{SnapError, SnapReader, SnapWriter};
+        // The layout before cache hits carried machine state: the cache
+        // flag, the machine block, the prefix hash, the inboxes of deferred
+        // rounds, and a separate halt view.
+        let program = programs::caesar_relay_exact(2, 3);
+        for cache in [false, true] {
+            let mut old = Vec::new();
+            let mut w = SnapWriter::new(&mut old);
+            w.bool(cache);
+            w.block(|w| Machine::new(program.clone()).save_snap(w)).unwrap();
+            w.u128(cache::PREFIX_EMPTY);
+            w.u64(1);
+            w.bytes(b"ab");
+            w.bytes(b"ok");
+            w.u8(0);
+            for cut in 0..=old.len() {
+                let mut user = VmUser::new(program.clone()).with_cache_enabled(cache);
+                let result = user.restore_snap(&mut SnapReader::new(&old[..cut]));
+                match (cut, result) {
+                    (0, Err(SnapError::Truncated { .. })) => {}
+                    (_, Err(SnapError::BadTag { context: "vm-user snapshot layout", found }))
+                        if cut > 0 =>
+                    {
+                        assert_eq!(found, cache as u8);
+                    }
+                    (_, other) => panic!("cache={cache}, {cut} bytes: {other:?}"),
+                }
+            }
         }
     }
 

@@ -1,20 +1,24 @@
 //! The candidate-evaluation cache: memoised VM rounds for universal search.
 //!
 //! The universal users re-run the *same* candidate programs over and over —
-//! the compact user's triangular schedule revisits every index Θ(index)
-//! times, and the trial harness repeats whole executions across seeds. A VM
-//! strategy is a **deterministic transducer**: its round-`k` output (and
-//! halt state) is fully determined by the program bytes, the per-round fuel
-//! budget, and the sequence of inbox contents for rounds `0..=k`. That
-//! triple is therefore a sound memoisation key, and this module keeps a
-//! process-wide map from it to the round's outputs.
+//! Levin's schedule restarts every candidate in every phase with a doubled
+//! budget, the compact user's triangular schedule revisits every index
+//! Θ(index) times, and the trial harness repeats whole executions across
+//! seeds. A VM strategy is a **deterministic transducer** started from
+//! all-zero registers: everything about its round `k` — the outboxes, the
+//! halt state, and the machine state it leaves behind (the eight registers
+//! and the cumulative retired-instruction count) — is fully determined by
+//! the program bytes, the per-round fuel budget, and the sequence of inbox
+//! contents for rounds `0..=k`. That triple is therefore a sound
+//! memoisation key, and this module keeps a process-wide map from it to the
+//! round's outputs *and* post-round state.
 //!
 //! [`VmUser`](crate::adapter::VmUser) consults the cache on every step. On a
-//! hit it returns the recorded outboxes without touching its machine; on a
-//! miss it first *replays* any skipped rounds (the machine is a transducer,
-//! so replaying the recorded inputs reproduces the exact register state) and
-//! then executes the round for real, recording it. Either way the observable
-//! behaviour is bit-identical to an uncached run.
+//! hit it copies the recorded outboxes and moves its machine to the recorded
+//! post-round state in O(1), exactly where executing the round would have
+//! left it; on a miss it executes the round and records it. Either way the
+//! user — outputs, halt state, registers and retired count — is
+//! bit-identical to an uncached run after every round.
 //!
 //! Keys store a 64-bit hash of the program bytes plus a 128-bit rolling hash
 //! of the interaction prefix; entries additionally pin the full program
@@ -23,12 +27,20 @@
 //! program's entries* is the one probabilistic failure mode; at 128 bits it
 //! is negligible against the ≤ 2⁴⁰ rounds any experiment here executes.
 //!
+//! Entries are compact: the program, both outboxes and any halt payload are
+//! packed into one byte run stored inline when it is short (the enumerated
+//! candidates of a universal search are a few bytes long), so a typical
+//! entry owns no heap allocation. Each shard holds at most [`SHARD_CAP`]
+//! entries — the load-factor boundary of a 2¹⁶-bucket table — and evicts
+//! without leaving tombstones, so a full shard never outgrows that table.
+//!
 //! The cache is enabled by default and shared across threads (the parallel
 //! trial harness warms it for every worker). `GOC_VM_CACHE=0` disables it
 //! process-wide; [`VmUser::with_cache_enabled`](crate::adapter::VmUser) pins
 //! it per instance. [`stats`] / [`reset_stats`] expose hit counters for the
 //! bench suite's JSONL records.
 
+use crate::instr::REG_COUNT;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -37,12 +49,14 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// parallel harness runs many trials at once). Must be a power of two.
 const SHARD_COUNT: usize = 16;
 
-/// Per-shard entry cap; a shard that grows past this evicts roughly half
-/// of its entries (see [`insert`]). Bounds memory at roughly
-/// `SHARD_COUNT * SHARD_CAP` rounds of output.
-const SHARD_CAP: usize = 1 << 16;
+/// Per-shard entry cap: 7/8 of 2¹⁶, the most entries a 2¹⁶-bucket
+/// `HashMap` holds before it doubles. A shard at the cap evicts roughly
+/// half of its entries (see [`insert`]) instead of growing, which bounds
+/// memory at `SHARD_COUNT` such tables.
+const SHARD_CAP: usize = (1 << 16) / 8 * 7;
 
-/// The memoised outcome of one VM round.
+/// The memoised outcome of one VM round: its outboxes, its halt state, and
+/// the machine state it leaves behind.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedRound {
     /// Bytes the round appended to the A (peer) outbox.
@@ -52,6 +66,48 @@ pub struct CachedRound {
     /// `Some(final output)` if the machine halted during (or before) this
     /// round.
     pub halted: Option<Vec<u8>>,
+    /// The machine's registers after the round.
+    pub regs: [u64; REG_COUNT],
+    /// The machine's cumulative retired-instruction count after the round
+    /// (counted from the machine's first round, not just this one).
+    pub retired: u64,
+}
+
+impl CachedRound {
+    /// A borrowed view of this round, as the cache stores and serves it.
+    pub(crate) fn view(&self) -> RoundRef<'_> {
+        RoundRef {
+            out_a: &self.out_a,
+            out_b: &self.out_b,
+            halted: self.halted.as_deref(),
+            regs: &self.regs,
+            retired: self.retired,
+        }
+    }
+}
+
+/// A borrowed [`CachedRound`]: what the round's writers record from (a live
+/// machine, a batch lane) and what a hit is served as, without copying the
+/// byte fields into owned buffers first.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RoundRef<'a> {
+    pub(crate) out_a: &'a [u8],
+    pub(crate) out_b: &'a [u8],
+    pub(crate) halted: Option<&'a [u8]>,
+    pub(crate) regs: &'a [u64; REG_COUNT],
+    pub(crate) retired: u64,
+}
+
+impl RoundRef<'_> {
+    fn to_cached(self) -> CachedRound {
+        CachedRound {
+            out_a: self.out_a.to_vec(),
+            out_b: self.out_b.to_vec(),
+            halted: self.halted.map(<[u8]>::to_vec),
+            regs: *self.regs,
+            retired: self.retired,
+        }
+    }
 }
 
 /// Cache key: `(program bytes, fuel, interaction prefix)`, with the program
@@ -67,11 +123,90 @@ pub struct RoundKey {
     pub prefix_hash: u128,
 }
 
+/// Packed byte runs up to this length are stored inside the entry.
+const INLINE: usize = 23;
+
+/// [`Entry::lens`] marker for "the machine has not halted".
+const NOT_HALTED: u32 = u32::MAX;
+
+/// An entry's packed byte run: inline when short, one heap allocation
+/// otherwise. The inline buffer may be longer than the run; `lens` says
+/// where it ends.
+enum Packed {
+    Inline([u8; INLINE]),
+    Heap(Box<[u8]>),
+}
+
+/// One memoised round as the cache holds it: a [`CachedRound`] plus its
+/// program, with every byte field packed into one run.
 struct Entry {
-    /// Full program bytes, compared on lookup to rule out program-hash
-    /// collisions.
-    program: Box<[u8]>,
-    round: CachedRound,
+    regs: [u64; REG_COUNT],
+    retired: u64,
+    /// Lengths of the program, the A outbox, the B outbox and the halt
+    /// payload, packed back to back in that order in `bytes`; the last is
+    /// [`NOT_HALTED`] for a running machine. The full program bytes are
+    /// compared on lookup to rule out program-hash collisions.
+    lens: [u32; 4],
+    bytes: Packed,
+}
+
+impl Entry {
+    /// Packs `round` of `program`; `None` if a byte field is too long to
+    /// describe (such a round is simply not memoised).
+    fn new(program: &[u8], round: RoundRef<'_>) -> Option<Entry> {
+        let len = |part: &[u8]| u32::try_from(part.len()).ok().filter(|&n| n != NOT_HALTED);
+        let lens = [
+            len(program)?,
+            len(round.out_a)?,
+            len(round.out_b)?,
+            match round.halted {
+                Some(out) => len(out)?,
+                None => NOT_HALTED,
+            },
+        ];
+        let parts = [program, round.out_a, round.out_b, round.halted.unwrap_or_default()];
+        let total: usize = parts.iter().map(|p| p.len()).sum();
+        let bytes = if total <= INLINE {
+            let mut buf = [0u8; INLINE];
+            let mut at = 0;
+            for part in parts {
+                buf[at..at + part.len()].copy_from_slice(part);
+                at += part.len();
+            }
+            Packed::Inline(buf)
+        } else {
+            Packed::Heap(parts.concat().into_boxed_slice())
+        };
+        Some(Entry { regs: *round.regs, retired: round.retired, lens, bytes })
+    }
+
+    /// The program, A outbox, B outbox and halt payload (empty when not
+    /// halted), split out of the packed run.
+    fn parts(&self) -> [&[u8]; 4] {
+        let mut rest: &[u8] = match &self.bytes {
+            Packed::Inline(buf) => buf,
+            Packed::Heap(buf) => buf,
+        };
+        self.lens.map(|n| {
+            let n = if n == NOT_HALTED { 0 } else { n as usize };
+            let (part, tail) = rest.split_at(n);
+            rest = tail;
+            part
+        })
+    }
+
+    /// The entry's round, or `None` if it was recorded for a different
+    /// program than `program` (a program-hash collision).
+    fn view_for(&self, program: &[u8]) -> Option<RoundRef<'_>> {
+        let [recorded, out_a, out_b, halt] = self.parts();
+        (recorded == program).then_some(RoundRef {
+            out_a,
+            out_b,
+            halted: (self.lens[3] != NOT_HALTED).then_some(halt),
+            regs: &self.regs,
+            retired: self.retired,
+        })
+    }
 }
 
 #[derive(Default)]
@@ -166,15 +301,25 @@ pub fn extend_prefix(prefix: u128, in_a: &[u8], in_b: &[u8]) -> u128 {
 /// for exactly `program` (hash collisions fall through to a miss). Updates
 /// the hit/miss counters.
 pub fn lookup(key: &RoundKey, program: &[u8]) -> Option<CachedRound> {
-    let shard = shard_of(key);
-    let state = lock_shard(shard);
-    match state.map.get(key) {
-        Some(entry) if &*entry.program == program => {
+    serve(key, program, |round| round.to_cached())
+}
+
+/// [`lookup`] without the owned copy: on a hit, `f` reads the round under
+/// the shard lock and its result is returned. Updates the hit/miss
+/// counters the same way.
+pub(crate) fn serve<R>(
+    key: &RoundKey,
+    program: &[u8],
+    f: impl FnOnce(RoundRef<'_>) -> R,
+) -> Option<R> {
+    let state = lock_shard(shard_of(key));
+    match state.map.get(key).and_then(|entry| entry.view_for(program)) {
+        Some(round) => {
             cache().hits.fetch_add(1, Ordering::Relaxed);
             goc_core::obs_count_nd!("vm.cache.hit", 1u64);
-            Some(entry.round.clone())
+            Some(f(round))
         }
-        _ => {
+        None => {
             cache().misses.fetch_add(1, Ordering::Relaxed);
             goc_core::obs_count_nd!("vm.cache.miss", 1u64);
             None
@@ -209,19 +354,39 @@ fn evict_mix(key: &RoundKey) -> u64 {
 /// wholesale, so a long-running search keeps half of its warm entries
 /// across the cap. Evicted entries only cost a re-execution on the next
 /// miss; observable behaviour is unchanged.
-pub fn insert(key: RoundKey, program: &[u8], round: CachedRound) {
-    let shard = shard_of(&key);
-    let mut state = lock_shard(shard);
+pub fn insert(key: RoundKey, program: &[u8], round: &CachedRound) {
+    record(key, program, round.view());
+}
+
+/// [`insert`] from a borrowed round, so writers record straight from their
+/// machine's or lane's buffers.
+pub(crate) fn record(key: RoundKey, program: &[u8], round: RoundRef<'_>) {
+    let Some(entry) = Entry::new(program, round) else { return };
+    let mut state = lock_shard(shard_of(&key));
     if state.map.len() >= SHARD_CAP {
-        let bit = state.evict_epoch % 64;
-        state.evict_epoch = state.evict_epoch.wrapping_add(1);
-        let before = state.map.len();
-        state.map.retain(|k, _| (evict_mix(k) >> bit) & 1 == 0);
-        let evicted = before - state.map.len();
-        goc_core::obs_count_nd!("vm.cache.evict", evicted as u64);
+        evict_half(&mut state);
     }
-    state.map.insert(key, Entry { program: program.into(), round });
+    state.map.insert(key, entry);
     goc_core::obs_gauge_max_nd!("vm.cache.entries_peak", state.map.len() as u64);
+}
+
+/// Drops the entries whose mixed hash has the epoch-selected bit set.
+///
+/// The survivors are drained out and re-inserted rather than filtered with
+/// `retain`: removing in place leaves tombstones that keep counting against
+/// the table's load, and once inserts use up the free slots a table more
+/// than half full of live entries grows to twice its buckets instead of
+/// rehashing in place. `drain` keeps the allocation and empties every slot,
+/// so the shard stays in the table its cap fits.
+fn evict_half(state: &mut ShardState) {
+    let bit = state.evict_epoch % 64;
+    state.evict_epoch = state.evict_epoch.wrapping_add(1);
+    let before = state.map.len();
+    let survivors: Vec<(RoundKey, Entry)> =
+        state.map.drain().filter(|(k, _)| (evict_mix(k) >> bit) & 1 == 0).collect();
+    state.map.extend(survivors);
+    let evicted = before - state.map.len();
+    goc_core::obs_count_nd!("vm.cache.evict", evicted as u64);
 }
 
 /// Snapshot of the cache hit/miss counters.
@@ -291,14 +456,20 @@ mod tests {
     }
 
     fn round(tag: u8) -> CachedRound {
-        CachedRound { out_a: vec![tag], out_b: vec![], halted: None }
+        CachedRound {
+            out_a: vec![tag],
+            out_b: vec![],
+            halted: None,
+            regs: [tag as u64; REG_COUNT],
+            retired: tag as u64 * 3,
+        }
     }
 
     #[test]
     fn insert_then_lookup_roundtrips() {
         let _g = test_guard();
         let k = key(program_hash(b"prog-x"), PREFIX_EMPTY);
-        insert(k, b"prog-x", round(7));
+        insert(k, b"prog-x", &round(7));
         assert_eq!(lookup(&k, b"prog-x"), Some(round(7)));
     }
 
@@ -308,7 +479,7 @@ mod tests {
         // Same key, different recorded program bytes: the byte comparison
         // must refuse to serve the entry.
         let k = key(0x1234, PREFIX_EMPTY ^ 0x5555);
-        insert(k, b"real", round(1));
+        insert(k, b"real", &round(1));
         assert_eq!(lookup(&k, b"impostor"), None);
         assert_eq!(lookup(&k, b"real"), Some(round(1)));
     }
@@ -317,7 +488,7 @@ mod tests {
     fn poisoned_shard_recovers_instead_of_cascading() {
         let _g = test_guard();
         let k = key(program_hash(b"poison-prog"), PREFIX_EMPTY ^ 0xabcd);
-        insert(k, b"poison-prog", round(9));
+        insert(k, b"poison-prog", &round(9));
         // Poison the shard: a thread panics while holding its lock, the
         // way a panicking `par` worker would mid-`insert`.
         let shard = shard_of(&k);
@@ -330,7 +501,7 @@ mod tests {
         // Every entry point must keep working on the poisoned shard.
         assert_eq!(lookup(&k, b"poison-prog"), Some(round(9)));
         let k2 = key(program_hash(b"poison-prog"), extend_prefix(PREFIX_EMPTY ^ 0xabcd, b"x", b""));
-        insert(k2, b"poison-prog", round(10));
+        insert(k2, b"poison-prog", &round(10));
         assert_eq!(lookup(&k2, b"poison-prog"), Some(round(10)));
         let _ = entry_count();
         clear();
@@ -349,12 +520,12 @@ mod tests {
             RoundKey { program_hash: i + 1, fuel: 256, prefix_hash: prefix }
         };
         for i in 0..SHARD_CAP as u64 {
-            insert(shard_pinned(i), b"evict-prog", round((i % 251) as u8));
+            insert(shard_pinned(i), b"evict-prog", &round((i % 251) as u8));
         }
         assert_eq!(entry_count(), SHARD_CAP);
         // The next insert trips the cap: roughly half survives (plus the
         // new entry), instead of the old wholesale clear.
-        insert(shard_pinned(SHARD_CAP as u64), b"evict-prog", round(1));
+        insert(shard_pinned(SHARD_CAP as u64), b"evict-prog", &round(1));
         let after = entry_count();
         assert!(after < SHARD_CAP, "no eviction happened: {after}");
         assert!(
@@ -367,6 +538,58 @@ mod tests {
         let survivors = (0..64).filter(|&i| lookup(&shard_pinned(i), b"evict-prog").is_some()).count();
         assert!(survivors > 0, "no sampled survivor found after half-eviction");
         clear();
+    }
+
+    #[test]
+    fn full_shards_stay_in_their_table() {
+        let _g = test_guard();
+        clear();
+        let pinned =
+            |i: u64| RoundKey { program_hash: i + 1, fuel: 256, prefix_hash: (i + 1) as u128 };
+        let shard = shard_of(&pinned(0));
+        // Several fill/evict cycles through one shard: neither the cap nor
+        // the holes eviction leaves may ever make the table outgrow the
+        // bucket budget the cap was chosen to fit.
+        for i in 0..4 * SHARD_CAP as u64 {
+            insert(pinned(i), b"table-prog", &round((i % 251) as u8));
+            if i % 4096 == 0 {
+                let capacity = lock_shard(shard).map.capacity();
+                assert!(capacity <= SHARD_CAP, "shard grew to capacity {capacity} at insert {i}");
+            }
+        }
+        let state = lock_shard(shard);
+        assert!(state.map.len() <= SHARD_CAP);
+        assert!(state.map.capacity() <= SHARD_CAP, "capacity {}", state.map.capacity());
+        drop(state);
+        clear();
+    }
+
+    #[test]
+    fn entries_roundtrip_inline_and_spilled_bytes() {
+        let _g = test_guard();
+        let long: Vec<u8> = (0..=255).collect();
+        let cases = [
+            (b"p".to_vec(), vec![], vec![], None),
+            (b"p".to_vec(), b"ab".to_vec(), b"c".to_vec(), Some(vec![])),
+            (b"p".to_vec(), vec![], b"ok".to_vec(), Some(b"ok".to_vec())),
+            (long.clone(), b"x".to_vec(), vec![], None),
+            (b"q".to_vec(), long.clone(), long.clone(), Some(long.clone())),
+        ];
+        for (i, (program, out_a, out_b, halted)) in cases.into_iter().enumerate() {
+            let recorded = CachedRound {
+                out_a,
+                out_b,
+                halted,
+                regs: [i as u64, u64::MAX, 0, 1, 2, 3, 4, 0x100],
+                retired: u64::MAX - i as u64,
+            };
+            let k = key(program_hash(&program), extend_prefix(PREFIX_EMPTY, &[i as u8], b"rt"));
+            insert(k, &program, &recorded);
+            assert_eq!(lookup(&k, &program), Some(recorded), "case {i}");
+            let mut other = program.clone();
+            other.push(0);
+            assert_eq!(lookup(&k, &other), None, "case {i}: longer program must miss");
+        }
     }
 
     #[test]
@@ -388,7 +611,7 @@ mod tests {
                 prefix_hash: (i + 1) as u128,
             };
             for i in 0..=SHARD_CAP as u64 {
-                insert(pinned(i), b"evict-metric-prog", round(2));
+                insert(pinned(i), b"evict-metric-prog", &round(2));
             }
         });
         let evicted = nd_total("vm.cache.evict") - before;
@@ -415,7 +638,7 @@ mod tests {
         reset_stats();
         let k = key(program_hash(b"stats-prog"), extend_prefix(PREFIX_EMPTY, b"s", b""));
         assert_eq!(lookup(&k, b"stats-prog"), None);
-        insert(k, b"stats-prog", round(3));
+        insert(k, b"stats-prog", &round(3));
         assert!(lookup(&k, b"stats-prog").is_some());
         let s = stats();
         assert!(s.misses >= 1 && s.hits >= 1, "{s:?}");

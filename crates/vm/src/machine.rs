@@ -241,10 +241,10 @@ impl Machine {
                     cur_a = io.in_a.len();
                 }
                 Instr::CopyB(dest) => {
-                    let rest = io.in_b[cur_b.min(io.in_b.len())..].to_vec();
+                    let rest = &io.in_b[cur_b.min(io.in_b.len())..];
                     match dest {
-                        Chan::A => io.out_a.extend_from_slice(&rest),
-                        Chan::B => io.out_b.extend_from_slice(&rest),
+                        Chan::A => io.out_a.extend_from_slice(rest),
+                        Chan::B => io.out_b.extend_from_slice(rest),
                     }
                     cur_b = io.in_b.len();
                 }
@@ -305,6 +305,17 @@ impl Machine {
                 }
             }
         }
+    }
+
+    /// Moves the machine to a memoised post-round state: the registers,
+    /// cumulative retired count and halt payload the candidate cache
+    /// recorded for this machine's program, fuel and interaction prefix.
+    /// Executing the round would reach exactly this state, since a machine
+    /// is a deterministic transducer started from all-zero registers.
+    pub(crate) fn adopt(&mut self, regs: [u64; REG_COUNT], retired: u64, halted: Option<Vec<u8>>) {
+        self.regs = regs;
+        self.instructions_retired = retired;
+        self.halted = halted;
     }
 
     /// Consumes the machine, returning its program (lets the candidate
@@ -610,11 +621,11 @@ fn op_copy_a(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
 #[inline(always)]
 fn op_copy_b(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
     let io = &mut *s.io;
-    let rest = io.in_b[(*s.cur_b).min(io.in_b.len())..].to_vec();
+    let rest = &io.in_b[(*s.cur_b).min(io.in_b.len())..];
     if op.a == 0 {
-        io.out_a.extend_from_slice(&rest);
+        io.out_a.extend_from_slice(rest);
     } else {
-        io.out_b.extend_from_slice(&rest);
+        io.out_b.extend_from_slice(rest);
     }
     *s.cur_b = io.in_b.len();
     s.advance(op)

@@ -1,21 +1,25 @@
 //! The candidate-evaluation cache must be *unobservable*: a cached `VmUser`
-//! produces exactly the outputs and halt behaviour of an uncached one, for
-//! arbitrary programs and input histories — the soundness property behind
-//! memoising Levin-search revisits. Checked by the seeded `goc-testkit`
-//! harness.
+//! produces exactly the outputs and halt behaviour of an uncached one, and
+//! its machine holds the same registers and retired-instruction count after
+//! every round, for arbitrary programs and input histories — the soundness
+//! property behind memoising Levin-search revisits. Checked by the seeded
+//! `goc-testkit` harness.
 
 use goc_core::msg::{Message, UserIn};
 use goc_core::rng::GocRng;
 use goc_core::strategy::{StepCtx, UserStrategy};
 use goc_testkit::{check, gens, prop_assert_eq};
 use goc_vm::adapter::VmUser;
+use goc_vm::instr::REG_COUNT;
 use goc_vm::program::Program;
 
-/// Runs `user` over `inputs`, collecting per-round outputs and halt states.
-fn drive(
-    mut user: VmUser,
-    inputs: &[(Vec<u8>, Vec<u8>)],
-) -> Vec<(Vec<u8>, Vec<u8>, Option<Vec<u8>>)> {
+/// One round as seen from outside the user and inside its machine: the two
+/// outputs, the halt payload, the registers and the cumulative retired count.
+type RoundView = (Vec<u8>, Vec<u8>, Option<Vec<u8>>, [u64; REG_COUNT], u64);
+
+/// Runs `user` over `inputs`, collecting per-round outputs, halt states and
+/// machine state.
+fn drive(mut user: VmUser, inputs: &[(Vec<u8>, Vec<u8>)]) -> Vec<RoundView> {
     let mut rng = GocRng::seed_from_u64(0);
     let mut out = Vec::new();
     for (round, (a, b)) in inputs.iter().enumerate() {
@@ -31,13 +35,16 @@ fn drive(
             o.to_server.as_bytes().to_vec(),
             o.to_world.as_bytes().to_vec(),
             UserStrategy::halted(&user).map(|h| h.output.as_bytes().to_vec()),
+            *user.machine().regs(),
+            user.machine().instructions_retired(),
         ));
     }
     out
 }
 
-/// Cached and uncached users are round-for-round identical, and a second
-/// cached run (now warm) still matches.
+/// Cached and uncached users are round-for-round identical — outputs, halt,
+/// registers and retired count — and a second cached run (now warm, so its
+/// rounds are served from the cache) still matches.
 #[test]
 fn cached_user_is_observably_identical_to_uncached() {
     let round_inputs = gens::tuple2(gens::bytes(0, 6), gens::bytes(0, 6));

@@ -1,9 +1,11 @@
 //! The background prewarm must be *unobservable*: cache entries it fills
-//! (including fixed-point-replicated ones) are value-identical to what
-//! scalar execution would compute for the same `(program, fuel, prefix)`,
-//! and [`ProgramEnumerator::batch`] produces behaviourally identical
-//! candidates whatever the `GOC_PREWARM` × `GOC_THREADS` setting. Checked
-//! by the seeded `goc-testkit` harness.
+//! (first rounds, fixed-point-replicated ones, predicted chains) are
+//! value-identical to what scalar execution would compute for the same
+//! `(program, fuel, prefix)` — outboxes, halt payload, and the registers
+//! and cumulative retired count a live user adopts on a hit — and
+//! [`ProgramEnumerator::batch`] produces behaviourally identical candidates
+//! whatever the `GOC_PREWARM` × `GOC_THREADS` setting. Checked by the
+//! seeded `goc-testkit` harness.
 
 use goc_core::enumeration::StrategyEnumerator;
 use goc_core::msg::{Message, UserIn};
@@ -11,10 +13,57 @@ use goc_core::par::{with_prewarm, with_thread_count};
 use goc_core::rng::GocRng;
 use goc_core::strategy::{StepCtx, UserStrategy};
 use goc_testkit::{check, gens, prop_assert_eq};
-use goc_vm::adapter::{prewarm_deep, VmUser};
-use goc_vm::cache;
+use goc_vm::adapter::{prewarm_batch, prewarm_deep, VmUser};
+use goc_vm::cache::{self, CachedRound};
+use goc_vm::machine::{Machine, RoundIo};
 use goc_vm::program::Program;
 use goc_vm::ProgramEnumerator;
+
+/// What a scalar [`Machine`] computes for each round of `inputs`, as the
+/// cache entry a live user would record: outboxes, halt payload, registers
+/// and cumulative retired count. Stops after the halting round (a halted
+/// user records nothing further).
+fn scalar_rounds(program: &Program, fuel: u32, inputs: &[(Vec<u8>, Vec<u8>)]) -> Vec<CachedRound> {
+    let mut m = Machine::with_fuel(program.clone(), fuel);
+    let mut rounds = Vec::new();
+    for (a, b) in inputs {
+        let mut io = RoundIo::with_inputs(a.clone(), b.clone());
+        m.round(&mut io);
+        rounds.push(CachedRound {
+            out_a: io.out_a,
+            out_b: io.out_b,
+            halted: m.halted().map(<[u8]>::to_vec),
+            regs: *m.regs(),
+            retired: m.instructions_retired(),
+        });
+        if m.halted().is_some() {
+            break;
+        }
+    }
+    rounds
+}
+
+/// The cache entries along `inputs`' prefix chain for `program` (`None`
+/// where a round is not memoised).
+fn chain_entries(
+    program: &Program,
+    fuel: u32,
+    inputs: &[(Vec<u8>, Vec<u8>)],
+) -> Vec<Option<CachedRound>> {
+    let mut prefix = cache::PREFIX_EMPTY;
+    inputs
+        .iter()
+        .map(|(a, b)| {
+            prefix = cache::extend_prefix(prefix, a, b);
+            let key = cache::RoundKey {
+                program_hash: cache::program_hash(program.as_bytes()),
+                fuel,
+                prefix_hash: prefix,
+            };
+            cache::lookup(&key, program.as_bytes())
+        })
+        .collect()
+}
 
 /// Drives a user over `inputs`, collecting per-round outputs and halts.
 fn drive(
@@ -43,7 +92,10 @@ fn drive(
 
 /// Every entry `prewarm_deep` records along a program's empty-prefix chain
 /// — executed or replicated from a detected fixed point — equals what the
-/// scalar machine computes for that round, for random programs and fuels.
+/// scalar machine computes for that round, registers and cumulative retired
+/// count included, for random programs and fuels. A lone `jmp` is always
+/// in the batch: it burns its fuel without touching a register, so its
+/// chain is filled from round 1 on.
 #[test]
 fn prewarm_entries_match_scalar_execution() {
     let trial = gens::tuple3(
@@ -52,8 +104,9 @@ fn prewarm_entries_match_scalar_execution() {
         gens::usize_in(1, 24),
     );
     check("prewarm_entries_match_scalar_execution", trial, |(codes, fuel, depth)| {
-        let programs: Vec<Program> =
+        let mut programs: Vec<Program> =
             codes.iter().map(|c| Program::from_bytes(c.clone())).collect();
+        programs.push(Program::from_bytes(vec![0x0b]));
         let mut users: Vec<VmUser> = programs
             .iter()
             .map(|p| VmUser::with_fuel(p.clone(), *fuel).with_cache_enabled(true))
@@ -61,30 +114,40 @@ fn prewarm_entries_match_scalar_execution() {
         goc_core::par::with_prewarm(true, || prewarm_deep(users.iter_mut(), *depth));
         let empty_rounds = vec![(Vec::new(), Vec::new()); *depth];
         for p in &programs {
-            let mut scalar = VmUser::with_fuel(p.clone(), *fuel).with_cache_enabled(false);
-            let truth = drive(&mut scalar, &empty_rounds);
-            let mut prefix = cache::PREFIX_EMPTY;
-            for (r, (out_a, out_b, halted)) in truth.iter().enumerate() {
-                prefix = cache::extend_prefix(prefix, &[], &[]);
-                let key = cache::RoundKey {
-                    program_hash: cache::program_hash(p.as_bytes()),
-                    fuel: *fuel,
-                    prefix_hash: prefix,
-                };
-                let entry = cache::lookup(&key, p.as_bytes());
+            let truth = scalar_rounds(p, *fuel, &empty_rounds);
+            let entries = chain_entries(p, *fuel, &empty_rounds);
+            for (r, (truth, entry)) in truth.iter().zip(&entries).enumerate() {
                 let Some(entry) = entry else {
                     return Err(goc_testkit::CaseError::fail(format!(
                         "round {r} of {:?} missing from the prewarmed chain",
                         p.as_bytes()
                     )));
                 };
-                prop_assert_eq!(&entry.out_a, out_a, "out_a at round {r}");
-                prop_assert_eq!(&entry.out_b, out_b, "out_b at round {r}");
-                prop_assert_eq!(&entry.halted, halted, "halt at round {r}");
-                if entry.halted.is_some() {
-                    break;
-                }
+                prop_assert_eq!(entry, truth, "entry for round {r} of {:?}", p.as_bytes());
             }
+        }
+        Ok(())
+    });
+}
+
+/// The first-round entries `prewarm_batch` records for a freshly spawned
+/// generation equal the scalar machine's round 0, state included.
+#[test]
+fn first_round_entries_match_scalar_execution() {
+    let trial = gens::tuple2(gens::vec_of(gens::bytes(0, 12), 1, 6), gens::u32_in(16, 512));
+    check("first_round_entries_match_scalar_execution", trial, |(codes, fuel)| {
+        let programs: Vec<Program> =
+            codes.iter().map(|c| Program::from_bytes(c.clone())).collect();
+        let mut users: Vec<VmUser> = programs
+            .iter()
+            .map(|p| VmUser::with_fuel(p.clone(), *fuel).with_cache_enabled(true))
+            .collect();
+        prewarm_batch(users.iter_mut());
+        let first = [(Vec::new(), Vec::new())];
+        for p in &programs {
+            let truth = scalar_rounds(p, *fuel, &first);
+            let entry = chain_entries(p, *fuel, &first).remove(0);
+            prop_assert_eq!(entry.as_ref(), truth.first(), "round 0 of {:?}", p.as_bytes());
         }
         Ok(())
     });
@@ -120,7 +183,6 @@ fn prewarmed_candidates_serve_nonempty_histories_correctly() {
 #[test]
 fn predicted_prefix_entries_match_scalar_execution() {
     use goc_vm::instr::{Chan, Instr};
-    use goc_vm::machine::{Machine, RoundIo};
     use goc_vm::predict;
 
     // An echoer with a distinctive first round: says "Q7", then copies the
@@ -153,23 +215,17 @@ fn predicted_prefix_entries_match_scalar_execution() {
     // round, then the stationary predicted inbox.
     let mut inputs = vec![(Vec::new(), Vec::new())];
     inputs.extend(std::iter::repeat_n((b"ping".to_vec(), Vec::new()), depth - 1));
-    let mut scalar = VmUser::with_fuel(program.clone(), fuel).with_cache_enabled(false);
-    let truth = drive(&mut scalar, &inputs);
-    let mut prefix = cache::PREFIX_EMPTY;
-    for (r, ((in_a, in_b), (out_a, out_b, halted))) in inputs.iter().zip(&truth).enumerate() {
-        prefix = cache::extend_prefix(prefix, in_a, in_b);
-        let key = cache::RoundKey {
-            program_hash: cache::program_hash(program.as_bytes()),
-            fuel,
-            prefix_hash: prefix,
-        };
-        let entry = cache::lookup(&key, program.as_bytes())
-            .unwrap_or_else(|| panic!("round {r} of the predicted chain is not memoised"));
-        assert_eq!(&entry.out_a, out_a, "out_a at round {r}");
-        assert_eq!(&entry.out_b, out_b, "out_b at round {r}");
-        assert_eq!(&entry.halted, halted, "halt at round {r}");
+    let truth = scalar_rounds(&program, fuel, &inputs);
+    assert_eq!(truth.len(), depth, "the echoer never halts");
+    let entries = chain_entries(&program, fuel, &inputs);
+    for (r, (truth, entry)) in truth.iter().zip(entries).enumerate() {
+        let entry =
+            entry.unwrap_or_else(|| panic!("round {r} of the predicted chain is not memoised"));
+        assert_eq!(&entry, truth, "entry for round {r}");
     }
     // Serving the warmed user that exact history must also be correct.
+    let mut scalar = VmUser::with_fuel(program.clone(), fuel).with_cache_enabled(false);
+    let truth = drive(&mut scalar, &inputs);
     let got = drive(&mut warmed, &inputs);
     assert_eq!(got, truth, "warmed candidate diverged on the predicted history");
 }
