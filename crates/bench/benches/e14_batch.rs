@@ -1,11 +1,13 @@
-//! E14 — the batch VM interpreter, measured end to end.
+//! E14 — the production VM core against its specification, end to end.
 //!
 //! One comparison: a finite-Levin settle over a VM-program class whose
-//! early candidates are fuel-burning self-jump programs, run once with the
-//! exact scalar interpreter (`GOC_BATCH=0` semantics, forced via
-//! [`goc_vm::batch::with_batch`]) and once with the predecoded batch path.
-//! Both arms compute the identical settle round — only interpretation
-//! speed differs. `ci.sh` gates the batch arm at >= 2x the scalar median.
+//! early candidates are fuel-burning self-jump programs, run once on the
+//! specification `match` loop (forced via
+//! [`goc_vm::dispatch::with_dispatch`]) and once on the production core
+//! (predecoded per-opcode dispatch). Both arms compute the identical settle
+//! round — only interpretation speed differs. `ci.sh` gates the production
+//! arm at >= 2x the spec median. The group and row ids predate the single
+//! core and are kept so snapshot compares still cover them.
 //!
 //! Runs at `t1`: the workload is a single conversation, so threading only
 //! adds scheduler noise to what is purely a dispatch-loop comparison.

@@ -22,17 +22,8 @@ fn main() {
     g.bench_tagged("levin_settle_inline@t4", meta(), || {
         with_thread_count(4, || exp::e15_levin_prewarm_settle(false))
     });
-    // Probe pass: the settle fn resets the predictor on entry, so after one
-    // representative run the lifetime counters describe exactly that run.
-    // Recorded as `prewarm.mispredict` on the timed record that follows
-    // (the counter is scheduling-dependent, so it annotates rather than
-    // feeds any deterministic gate).
-    with_thread_count(4, || exp::e15_levin_prewarm_settle(true));
-    let mispredicts = goc_vm::predict::stats().mispredicts;
-    g.bench_tagged(
-        "levin_settle_prewarm@t4",
-        BenchMeta { mispredicts: Some(mispredicts), ..meta() },
-        || with_thread_count(4, || exp::e15_levin_prewarm_settle(true)),
-    );
+    g.bench_tagged("levin_settle_prewarm@t4", meta(), || {
+        with_thread_count(4, || exp::e15_levin_prewarm_settle(true))
+    });
     g.finish();
 }

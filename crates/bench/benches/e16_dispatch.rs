@@ -1,21 +1,16 @@
-//! E16 — the predecoded dispatch-table scalar core, measured two ways.
+//! E16 — the predecoded production VM core, measured on the raw
+//! interpreter loop.
 //!
-//! The micro pair times the raw interpreter loop: `e9_vm_instructions` over
-//! 10k rounds of the busy `inc/emit/jmp` program, once on the legacy
-//! `match` loop (`GOC_DISPATCH=0` semantics, forced via
-//! [`goc_vm::dispatch::with_dispatch`]) and once on the table. `ci.sh`
-//! gates the table arm at >= 1.3x the match median.
+//! The micro pair times `e9_vm_instructions` over 10k rounds of the busy
+//! `inc/emit/jmp` program, once on the specification `match` loop (forced
+//! via [`goc_vm::dispatch::with_dispatch`]) and once on the production
+//! core. `ci.sh` gates the production arm at >= 1.3x the match median. The
+//! end-to-end settle on the same axis is E14.
 //!
-//! The settle pair times the same axis end to end on the E14-class
-//! finite-Levin workload with batching pinned off, so every candidate round
-//! runs the scalar core under comparison. Both arms compute the identical
-//! settle round — only dispatch differs.
-//!
-//! Runs at `t1`: both workloads are single conversations; threading only
-//! adds scheduler noise to what is purely a dispatch-loop comparison.
+//! Runs at `t1`: the workload is a single machine; threading only adds
+//! scheduler noise to what is purely a dispatch-loop comparison.
 
 use goc_bench::experiments as exp;
-use goc_core::par::with_thread_count;
 use goc_testkit::bench::{Bench, BenchMeta};
 use goc_vm::dispatch::with_dispatch;
 
@@ -31,12 +26,6 @@ fn main() {
     });
     g.bench_tagged("vm_instructions_10k_rounds_table", meta("table"), || {
         with_dispatch(true, || exp::e9_vm_instructions(10_000))
-    });
-    g.bench_tagged("levin_settle_dispatch_off@t1", meta("match"), || {
-        with_thread_count(1, || exp::e16_levin_dispatch_settle(false))
-    });
-    g.bench_tagged("levin_settle_dispatch_on@t1", meta("table"), || {
-        with_thread_count(1, || exp::e16_levin_dispatch_settle(true))
     });
     g.finish();
 }

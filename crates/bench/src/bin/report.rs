@@ -250,7 +250,7 @@ fn bench_summary(path: &str) {
     }
     println!("# bench summary from {path} ({} records)\n", records.len());
     println!(
-        "{:<44} {:>12} {:>12} {:>12} {:>14} {:>8} {:>10} {:>12} {:>12} {:>9} {:>8}",
+        "{:<44} {:>12} {:>12} {:>12} {:>14} {:>8} {:>10} {:>12} {:>12} {:>9}",
         "benchmark",
         "median",
         "p95",
@@ -260,8 +260,7 @@ fn bench_summary(path: &str) {
         "cache",
         "allocs",
         "peak",
-        "dispatch",
-        "mispred"
+        "dispatch"
     );
     let mut group = String::new();
     for r in &records {
@@ -288,9 +287,8 @@ fn bench_summary(path: &str) {
         let allocs = r.allocs.map(|a| format!("{a}/iter")).unwrap_or_default();
         let peak = r.peak_bytes.map(fmt_bytes).unwrap_or_default();
         let dispatch = r.dispatch.clone().unwrap_or_default();
-        let mispred = r.mispredicts.map(|m| m.to_string()).unwrap_or_default();
         println!(
-            "{:<44} {:>12} {:>12} {:>12} {:>14} {:>8} {:>10} {:>12} {:>12} {:>9} {:>8}",
+            "{:<44} {:>12} {:>12} {:>12} {:>14} {:>8} {:>10} {:>12} {:>12} {:>9}",
             format!("{}/{}", r.group, r.id),
             fmt_ns(r.median_ns),
             fmt_ns(r.p95_ns),
@@ -300,8 +298,7 @@ fn bench_summary(path: &str) {
             cache,
             allocs,
             peak,
-            dispatch,
-            mispred
+            dispatch
         );
     }
     speedup_section(&records);
@@ -337,23 +334,25 @@ fn e13_improvement_section(records: &[BenchRecord]) {
     }
 }
 
-/// Prints the E14 headline number: wall-clock improvement of the batch
-/// (predecoded) VM interpreter over the exact scalar path on the
+/// Prints the E14 headline number: wall-clock improvement of the
+/// production VM core over the specification `match` loop on the
 /// finite-Levin settle workload, single-threaded. CI gates this at >= 2x.
-/// The "batch improvement" wording is deliberate — it keeps this line out
+/// The "core improvement" wording is deliberate — it keeps this line out
 /// of the E13 gate's `x improvement` grep.
 fn e14_improvement_section(records: &[BenchRecord]) {
     let median = |id: &str| records.iter().rev().find(|r| r.id == id).map(|r| r.median_ns);
-    let scalar = median("levin_settle_scalar@t1");
-    let batch = median("levin_settle_batch@t1");
-    if let (Some(scalar), Some(batch)) = (scalar, batch) {
-        if batch > 0 {
-            println!("\n## E14 batch interpreter settle improvement (t1, scalar vs batch VM)");
+    // Row ids predate the single core: "scalar" is the spec loop, "batch"
+    // the production core.
+    let spec = median("levin_settle_scalar@t1");
+    let production = median("levin_settle_batch@t1");
+    if let (Some(spec), Some(production)) = (spec, production) {
+        if production > 0 {
+            println!("\n## E14 production core settle improvement (t1, spec loop vs production)");
             println!(
-                "scalar {} -> batch {}  ({:.2}x batch improvement)",
-                fmt_ns(scalar),
-                fmt_ns(batch),
-                scalar as f64 / batch as f64
+                "spec {} -> production {}  ({:.2}x core improvement)",
+                fmt_ns(spec),
+                fmt_ns(production),
+                spec as f64 / production as f64
             );
         }
     }
@@ -382,36 +381,22 @@ fn e15_improvement_section(records: &[BenchRecord]) {
     }
 }
 
-/// Prints the E16 headline numbers: wall-clock improvement of the
-/// predecoded dispatch-table scalar core over the legacy `match` loop, on
-/// the raw instruction micro-bench (CI gates this at >= 1.3x) and on the
-/// E14-class settle workload with batching pinned off. The "dispatch
-/// improvement" wording keeps the gated line out of the E13/E14/E15 greps,
-/// and the settle line's "settle win" wording keeps it out of the E16 grep.
+/// Prints the E16 headline number: wall-clock improvement of the
+/// predecoded production core over the specification `match` loop on the
+/// raw instruction micro-bench. CI gates this at >= 1.3x. The "dispatch
+/// improvement" wording keeps the gated line out of the E13/E14/E15 greps.
 fn e16_improvement_section(records: &[BenchRecord]) {
     let median = |id: &str| records.iter().rev().find(|r| r.id == id).map(|r| r.median_ns);
     let via_match = median("vm_instructions_10k_rounds_match");
     let via_table = median("vm_instructions_10k_rounds_table");
     if let (Some(m), Some(t)) = (via_match, via_table) {
         if t > 0 {
-            println!("\n## E16 dispatch-table core improvement (match loop vs predecoded table)");
+            println!("\n## E16 production core improvement (spec match loop vs predecoded table)");
             println!(
                 "match {} -> table {}  ({:.2}x dispatch improvement)",
                 fmt_ns(m),
                 fmt_ns(t),
                 m as f64 / t as f64
-            );
-        }
-    }
-    let off = median("levin_settle_dispatch_off@t1");
-    let on = median("levin_settle_dispatch_on@t1");
-    if let (Some(off), Some(on)) = (off, on) {
-        if on > 0 {
-            println!(
-                "settle (batch off): match {} -> table {}  ({:.2}x settle win)",
-                fmt_ns(off),
-                fmt_ns(on),
-                off as f64 / on as f64
             );
         }
     }
@@ -620,14 +605,14 @@ fn report(quick: bool) {
     assert_eq!(stats.misses, 0, "a warm steady batch must be served entirely from the pool");
 
     // --- E14 --------------------------------------------------------------
-    println!("\n## E14 — batch VM interpreter (scalar-vs-batch settle parity)");
-    let scalar_settle = exp::e14_levin_vm_settle(false);
-    let batch_settle = exp::e14_levin_vm_settle(true);
+    println!("\n## E14 — production VM core (spec-vs-production settle parity)");
+    let spec_settle = exp::e14_levin_vm_settle(false);
+    let production_settle = exp::e14_levin_vm_settle(true);
     assert_eq!(
-        scalar_settle, batch_settle,
-        "scalar and batch interpreters must settle identically"
+        spec_settle, production_settle,
+        "the spec match loop and the production core must settle identically"
     );
-    println!("finite-Levin settle round (both interpreters): {batch_settle}");
+    println!("finite-Levin settle round (both cores): {production_settle}");
 
     // --- E15 --------------------------------------------------------------
     println!("\n## E15 — pipelined background prewarm (inline-vs-pipelined settle parity)");
@@ -638,16 +623,6 @@ fn report(quick: bool) {
         "inline and pipelined prewarm must settle identically"
     );
     println!("finite-Levin settle round (both construction paths): {prewarm_settle}");
-
-    // --- E16 --------------------------------------------------------------
-    println!("\n## E16 — dispatch-table scalar core (match-vs-table settle parity)");
-    let match_settle = exp::e16_levin_dispatch_settle(false);
-    let table_settle = exp::e16_levin_dispatch_settle(true);
-    assert_eq!(
-        match_settle, table_settle,
-        "the match loop and the dispatch table must settle identically"
-    );
-    println!("finite-Levin settle round (both scalar cores): {table_settle}");
 
     println!("\ndone.");
 }

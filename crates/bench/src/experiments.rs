@@ -821,7 +821,7 @@ impl Default for SteadyLoop {
 }
 
 // ---------------------------------------------------------------------------
-// E14 — batch VM interpretation: finite-Levin settle over a program class
+// E14 — the production VM core vs its specification: a finite-Levin settle
 // ---------------------------------------------------------------------------
 
 /// Horizon for the E14 settle runs (the winning program settles well before
@@ -830,18 +830,16 @@ pub const E14_HORIZON: u64 = 100_000;
 
 /// Per-round fuel for E14 candidates. High enough that the `jmp`-spinning
 /// burner programs scheduled before the winner dominate the run with VM
-/// interpretation work — the workload the batch interpreter accelerates.
+/// interpretation work — the workload the production core accelerates.
 pub const E14_FUEL: u32 = 8_192;
 
-/// The E14/E16 workload: one finite-Levin conquest over a small VM-program
+/// The E14 workload: one finite-Levin conquest over a small VM-program
 /// class (alphabet `{jmp, emit.a, 'h'}`, length ≤ 3) with the candidate
 /// cache pinned **off**, so the run measures interpretation itself.
 ///
 /// The class plants `[emit.a 'h']` a few indices behind several programs
 /// that decode to self-jumps and burn their full fuel every round, so the
-/// run's cost is VM dispatch, not harness bookkeeping. Callers pin the
-/// interpreter axes ([`goc_vm::batch::with_batch`],
-/// [`goc_vm::dispatch::with_dispatch`]) around this.
+/// run's cost is VM dispatch, not harness bookkeeping.
 fn levin_vm_settle_workload(seed: u64) -> u64 {
     let class = goc_vm::ProgramEnumerator::over(vec![0x0b, 0x01, b'h'])
         .with_max_len(3)
@@ -862,19 +860,12 @@ fn levin_vm_settle_workload(seed: u64) -> u64 {
     v.rounds
 }
 
-/// E14: the workload interpreted by the batch (`true`) or exact scalar
-/// (`false`) VM path; returns the settle round. The two arms must settle on
-/// the identical round (`goc-report` asserts parity).
-///
-/// The scalar arm is pinned to the legacy `match` core
-/// (`with_dispatch(false)`) so the bench keeps its historical baseline —
-/// the ≥2x batch gate measures batching against the interpreter E14 was
-/// introduced with, not against the (faster) dispatch table, which gets its
-/// own axis in E16.
-pub fn e14_levin_vm_settle(batch: bool) -> u64 {
-    goc_vm::dispatch::with_dispatch(batch, || {
-        goc_vm::batch::with_batch(batch, || levin_vm_settle_workload(1_400))
-    })
+/// E14: the workload interpreted by the production core (`true`) or by the
+/// specification `match` loop (`false`, forced via
+/// [`goc_vm::dispatch::with_dispatch`]); returns the settle round. The two
+/// arms must settle on the identical round (`goc-report` asserts parity).
+pub fn e14_levin_vm_settle(production: bool) -> u64 {
+    goc_vm::dispatch::with_dispatch(production, || levin_vm_settle_workload(1_400))
 }
 
 // ---------------------------------------------------------------------------
@@ -888,14 +879,15 @@ pub const E15_HORIZON: u64 = 200_000;
 /// self-jump burner programs dominate the run with VM interpretation work.
 pub const E15_FUEL: u32 = 8_192;
 
-/// Base round-robin budget for E15. Small enough that the default prewarm
-/// depth (`GOC_PREWARM_DEPTH`, 16) covers a candidate's whole first-pass
-/// slot, so a prewarmed candidate replays entirely from the cache.
+/// Base round-robin budget for E15. Small enough that the prewarm depth
+/// ([`goc_vm::adapter::PREWARM_DEPTH`], 16 rounds) covers a candidate's
+/// whole first-pass slot, so a prewarmed candidate replays entirely from
+/// the cache.
 pub const E15_BASE: u64 = 8;
 
 /// One finite-Levin conquest tuned for the background-prewarm pipeline:
 /// round-robin schedule (uniform slots the prewarm depth covers), candidate
-/// cache **on**, batch interpretation on, and a winner planted deep in the
+/// cache **on**, and a winner planted deep in the
 /// class (`emit 'h'; emit 'h'` is the first program whose single-round
 /// message is exactly `"hh"`, at index 89 of 120) behind dozens of
 /// fuel-burning decoys. Returns the settle round.
@@ -909,49 +901,25 @@ pub const E15_BASE: u64 = 8;
 /// first arm's entries and the comparison would collapse.
 pub fn e15_levin_prewarm_settle(prewarm: bool) -> u64 {
     goc_vm::cache::clear();
-    // Also reset the continuation predictor: first-output classes learned by
-    // one arm (or an earlier experiment) must not steer the other arm's
-    // speculation, for the same isolation reason the cache is cleared.
-    goc_vm::predict::reset();
     goc_core::par::with_prewarm(prewarm, || {
-        goc_vm::batch::with_batch(true, || {
-            let class = goc_vm::ProgramEnumerator::over(vec![0x0b, 0x01, b'h'])
-                .with_max_len(4)
-                .with_fuel(E15_FUEL)
-                .with_cache(true);
-            let goal = toy::MagicWordGoal::new("hh");
-            let user = LevinUniversalUser::round_robin(
-                Box::new(class),
-                Box::new(toy::ack_sensing()),
-                E15_BASE,
-            );
-            let mut rng = GocRng::seed_from_u64(1_500);
-            let mut exec = Execution::new(
-                goal.spawn_world(&mut rng),
-                Box::new(toy::RelayServer::default()),
-                Box::new(user),
-                rng,
-            );
-            let t = exec.run(E15_HORIZON);
-            let v = evaluate_finite(&goal, &t);
-            assert!(v.achieved, "E15 settle (prewarm={prewarm}): {v:?}");
-            v.rounds
-        })
-    })
-}
-
-// ---------------------------------------------------------------------------
-// E16 — dispatch-table scalar core: table-vs-match settle over the E14 class
-// ---------------------------------------------------------------------------
-
-/// E16: the E14 workload with the batch interpreter pinned **off**, so every
-/// candidate round runs the scalar core — predecoded table dispatch
-/// (`true`) or the legacy `match` loop (`false`); returns the settle round.
-/// The two cores must settle on the identical round (`goc-report` asserts
-/// parity); the E16 bench times the same pair.
-pub fn e16_levin_dispatch_settle(table: bool) -> u64 {
-    goc_vm::dispatch::with_dispatch(table, || {
-        goc_vm::batch::with_batch(false, || levin_vm_settle_workload(1_600))
+        let class = goc_vm::ProgramEnumerator::over(vec![0x0b, 0x01, b'h'])
+            .with_max_len(4)
+            .with_fuel(E15_FUEL)
+            .with_cache(true);
+        let goal = toy::MagicWordGoal::new("hh");
+        let sensing = Box::new(toy::ack_sensing());
+        let user = LevinUniversalUser::round_robin(Box::new(class), sensing, E15_BASE);
+        let mut rng = GocRng::seed_from_u64(1_500);
+        let mut exec = Execution::new(
+            goal.spawn_world(&mut rng),
+            Box::new(toy::RelayServer::default()),
+            Box::new(user),
+            rng,
+        );
+        let t = exec.run(E15_HORIZON);
+        let v = evaluate_finite(&goal, &t);
+        assert!(v.achieved, "E15 settle (prewarm={prewarm}): {v:?}");
+        v.rounds
     })
 }
 

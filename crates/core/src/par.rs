@@ -93,7 +93,7 @@ pub fn with_thread_count<R>(n: usize, f: impl FnOnce() -> R) -> R {
 /// other than `"0"` — including unset — enables it). The knob gates
 /// *pipelining only*: consumers must additionally have idle workers
 /// available ([`thread_count`] > 1) for a background job to be worth
-/// dispatching, and with the gate off every prewarm runs inline on the
+/// dispatching, and with the gate off candidates are built inline on the
 /// calling thread exactly as before the pool existed.
 pub fn prewarm_enabled() -> bool {
     if let Some(v) = PREWARM_OVERRIDE.with(|o| o.get()) {

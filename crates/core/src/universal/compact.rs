@@ -143,7 +143,7 @@ pub struct CompactUniversalUser {
     switches: Vec<SwitchRecord>,
     pending_switch: bool,
     /// Speculatively pre-built `(index, candidate)` slots, consumed strictly
-    /// in schedule order (see [`super::finite::lookahead_width`]). Only used under
+    /// in schedule order (see [`super::finite::LOOKAHEAD`]). Only used under
     /// [`ResumePolicy::Restart`]; the other policies draw from the schedule
     /// one index at a time because a revisit may not build a candidate at
     /// all.
@@ -311,7 +311,7 @@ impl CompactUniversalUser {
             crate::obs_count!("universal.lookahead.refills", 1u64);
             let indices: Vec<usize> = match self.prefetched_indices.take() {
                 Some(indices) => indices,
-                None => (0..super::finite::lookahead_width())
+                None => (0..super::finite::LOOKAHEAD)
                     .map(|_| self.schedule.next().expect("schedules are infinite"))
                     .collect(),
             };
@@ -324,7 +324,7 @@ impl CompactUniversalUser {
                 // Pipeline (same as the Levin user): pre-draw the next
                 // window and let idle pool workers prepare it in the
                 // background while this window's candidates run.
-                let next: Vec<usize> = (0..super::finite::lookahead_width())
+                let next: Vec<usize> = (0..super::finite::LOOKAHEAD)
                     .map(|_| self.schedule.next().expect("schedules are infinite"))
                     .collect();
                 self.enumerator.prefetch(&next);

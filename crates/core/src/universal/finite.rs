@@ -11,31 +11,15 @@ use crate::view::ViewEvent;
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Default number of schedule slots the universal users pre-materialise per
-/// batch (see [`lookahead_width`]).
-pub(super) const DEFAULT_LOOKAHEAD: usize = 8;
-
 /// How many schedule slots the universal users pre-materialise per batch.
 ///
 /// Candidate construction is pure, so building the next few scheduled
 /// candidates ahead of time is unobservable; it lets enumerators with a
-/// parallel (or lockstep-batched, see `goc_vm::batch`)
-/// [`StrategyEnumerator::batch`] override do so off the critical path.
-/// Results are always adopted in schedule order, so the width only moves
-/// work between refills — the interaction is identical for every setting.
-///
-/// Tunable via `GOC_BATCH_WIDTH` (default 8, clamped to 1..=64; read once
-/// and latched).
-pub(super) fn lookahead_width() -> usize {
-    static WIDTH: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WIDTH.get_or_init(|| {
-        std::env::var("GOC_BATCH_WIDTH")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_LOOKAHEAD)
-            .clamp(1, 64)
-    })
-}
+/// [`StrategyEnumerator::batch`] override (and a background
+/// [`StrategyEnumerator::prefetch`]) do so off the critical path. Results
+/// are always adopted in schedule order, so the width only moves work
+/// between refills — the interaction is identical for every width.
+pub(super) const LOOKAHEAD: usize = 8;
 
 /// The universal user strategy for **finite** goals (Theorem 1, finite
 /// case).
@@ -109,7 +93,7 @@ pub struct LevinUniversalUser {
     switches: Vec<SwitchRecord>,
     slots_used: u64,
     /// Speculatively pre-built `(index, budget, candidate)` slots, consumed
-    /// strictly in schedule order (see [`lookahead_width`]).
+    /// strictly in schedule order (see [`LOOKAHEAD`]).
     lookahead: VecDeque<(usize, u64, BoxedUser)>,
     /// The *following* lookahead window, pre-drawn from the schedule at the
     /// last refill so its indices could be handed to
@@ -231,7 +215,7 @@ impl LevinUniversalUser {
             crate::obs_count!("universal.lookahead.refills", 1u64);
             let slots: Vec<(usize, u64)> = match self.prefetched_slots.take() {
                 Some(slots) => slots,
-                None => (0..lookahead_width())
+                None => (0..LOOKAHEAD)
                     .map(|_| self.schedule.next().expect("budget schedules are infinite"))
                     .collect(),
             };
@@ -247,7 +231,7 @@ impl LevinUniversalUser {
                 // Pipeline: pre-draw the *next* window and hand its indices
                 // to the enumerator, so idle pool workers can prepare those
                 // candidates while this window's candidates run live.
-                let next: Vec<(usize, u64)> = (0..lookahead_width())
+                let next: Vec<(usize, u64)> = (0..LOOKAHEAD)
                     .map(|_| self.schedule.next().expect("budget schedules are infinite"))
                     .collect();
                 let next_indices: Vec<usize> = next.iter().map(|&(i, _)| i).collect();

@@ -5,16 +5,12 @@
 //! be mounted in either role.
 
 use crate::arena;
-use crate::batch::{self, BatchVm};
 use crate::cache::{self, RoundKey, RoundRef};
-use crate::instr::REG_COUNT;
-use crate::machine::{DecodedProgram, Machine, RoundIo};
-use crate::predict;
+use crate::machine::{Machine, RoundIo};
 use crate::program::Program;
 use goc_core::msg::{Message, ServerIn, ServerOut, UserIn, UserOut};
 use goc_core::snap::{SnapError, SnapReader, SnapWriter};
 use goc_core::strategy::{Halt, ServerStrategy, StepCtx, UserStrategy};
-use std::sync::Arc;
 
 /// Tag opening a [`VmUser`] snapshot block. The previous layout (which
 /// carried a list of deferred cache rounds and a separate halt view) began
@@ -52,20 +48,8 @@ pub struct VmUser {
     /// Reusable round buffers: one `RoundIo` lives as long as the candidate,
     /// so steady-state rounds reuse its allocations instead of building
     /// fresh `Vec`s. Holds the last round's outboxes, whether executed or
-    /// served from the cache. Arena-backed under batch mode (recycled on
-    /// drop).
+    /// served from the cache. Arena-backed (recycled on drop).
     io: RoundIo,
-    /// The program's jump-table decode, shared across rounds (and, when the
-    /// enumerator spawned this candidate in a batch, across every candidate
-    /// of the generation running the same program text). `None` until batch
-    /// mode first needs it.
-    decoded: Option<Arc<DecodedProgram>>,
-    /// Cached rounds stepped so far — drives first-round signature capture
-    /// for the [`predict`] continuation predictor. Telemetry, not semantics:
-    /// not serialized in snapshots.
-    rounds_seen: u32,
-    /// [`predict::signature`] of the round-0 outputs, once round 0 ran.
-    first_sig: Option<u64>,
 }
 
 impl VmUser {
@@ -81,16 +65,12 @@ impl VmUser {
     /// Panics if `fuel == 0`.
     pub fn with_fuel(program: Program, fuel: u32) -> Self {
         let program_hash = cache::program_hash(program.as_bytes());
-        let io = if batch::enabled() { arena::take_io() } else { RoundIo::default() };
         VmUser {
             machine: Machine::with_fuel(program, fuel),
             use_cache: cache::enabled_by_env(),
             program_hash,
             prefix_hash: cache::PREFIX_EMPTY,
-            io,
-            decoded: None,
-            rounds_seen: 0,
-            first_sig: None,
+            io: arena::take_io(),
         }
     }
 
@@ -122,41 +102,15 @@ impl VmUser {
         }
     }
 
-    /// One machine round on `self.io` through the active interpreter:
-    /// jump-table dispatch via the (possibly generation-shared) decode under
-    /// batch mode, the plain scalar loop otherwise. The two are observably
-    /// identical — outputs, registers, halt payload, retired count.
-    fn run_round(&mut self) {
-        if batch::enabled() {
-            if self.decoded.is_none() {
-                self.decoded = Some(Arc::new(DecodedProgram::new(self.machine.program())));
-            }
-            let decoded = self.decoded.as_deref().expect("just populated");
-            self.machine.round_decoded(decoded, &mut self.io);
-        } else {
-            self.machine.round(&mut self.io);
-        }
-    }
-
     /// Executes one round through the cache into `self.io`'s outboxes: hash
     /// the inbox into the prefix, then either adopt the memoised round
     /// (outboxes and post-round machine state) or run the round for real
     /// and record it.
-    ///
-    /// Also feeds the [`predict`] continuation predictor: round 0's outputs
-    /// define the candidate's first-output class, and round 1's inbox is the
-    /// class's observed continuation (scored against the top-K prediction,
-    /// counting `vm.prewarm.mispredict`).
     fn cached_round(&mut self, in_a: &[u8], in_b: &[u8]) {
         if self.machine.halted().is_some() {
             // A halted machine is inert; don't grow the prefix or the cache.
             self.io.reset();
             return;
-        }
-        if self.rounds_seen == 1 {
-            if let Some(sig) = self.first_sig {
-                predict::record_outcome(sig, in_a, in_b);
-            }
         }
         self.prefix_hash = cache::extend_prefix(self.prefix_hash, in_a, in_b);
         let key = self.round_key();
@@ -171,7 +125,7 @@ impl VmUser {
             Some((regs, retired, halted)) => self.machine.adopt(regs, retired, halted),
             None => {
                 self.io.set_inputs(in_a, in_b);
-                self.run_round();
+                self.machine.round(&mut self.io);
                 let m = &self.machine;
                 cache::record(
                     key,
@@ -186,23 +140,15 @@ impl VmUser {
                 );
             }
         }
-        if self.rounds_seen == 0 {
-            self.first_sig = Some(predict::signature(&self.io.out_a, &self.io.out_b));
-        }
-        self.rounds_seen = self.rounds_seen.saturating_add(1);
     }
 }
 
 impl Drop for VmUser {
     /// Elimination recycles the candidate's buffers into the
-    /// [`arena`](crate::arena) under batch mode: its `RoundIo` and the
-    /// program bytes themselves. Safe with the candidate cache because cache
-    /// entries pin their own program copies (see `arena` module docs and
-    /// DESIGN.md §11).
+    /// [`arena`](crate::arena): its `RoundIo` and the program bytes
+    /// themselves. Safe with the candidate cache because cache entries pin
+    /// their own program copies (see `arena` module docs and DESIGN.md §11).
     fn drop(&mut self) {
-        if !batch::enabled() {
-            return;
-        }
         arena::recycle_io(&mut self.io);
         let machine =
             std::mem::replace(&mut self.machine, Machine::with_fuel(Program::default(), 1));
@@ -210,105 +156,15 @@ impl Drop for VmUser {
     }
 }
 
-/// Batch-prepares a freshly spawned candidate generation: every candidate
-/// gets the generation's shared [`DecodedProgram`] for its program text, and
-/// the first (empty-inbox) round of each cache-enabled candidate is executed
-/// through one [`BatchVm`] lockstep round, recorded in the **same**
-/// [`cache`](crate::cache) entries the scalar path populates and consults.
-/// Candidates whose first round is already memoised are not re-run.
-///
-/// Value-identical to letting each candidate run that round itself (the VM
-/// is a deterministic transducer), so traces and reports are unaffected.
-pub fn prewarm_batch<'a>(users: impl IntoIterator<Item = &'a mut VmUser>) {
-    let mut users: Vec<&'a mut VmUser> = users.into_iter().collect();
-    let mut decodes: Vec<Arc<DecodedProgram>> = Vec::new();
-    for u in users.iter_mut() {
-        let code = u.machine.program().as_bytes();
-        let shared = match decodes.iter().find(|d| d.code() == code) {
-            Some(d) => Arc::clone(d),
-            None => {
-                let d = Arc::new(DecodedProgram::new(u.machine.program()));
-                decodes.push(Arc::clone(&d));
-                d
-            }
-        };
-        u.decoded = Some(shared);
-    }
-    let first_prefix = cache::extend_prefix(cache::PREFIX_EMPTY, &[], &[]);
-    let mut vm = BatchVm::new();
-    let mut lanes: Vec<usize> = Vec::new();
-    for (i, u) in users.iter().enumerate() {
-        if !u.use_cache {
-            continue;
-        }
-        let key = RoundKey {
-            program_hash: u.program_hash,
-            fuel: u.machine.fuel_per_round(),
-            prefix_hash: first_prefix,
-        };
-        if cache::serve(&key, u.machine.program().as_bytes(), |_| ()).is_none() {
-            vm.push_decoded(
-                Arc::clone(u.decoded.as_ref().expect("assigned above")),
-                u.machine.fuel_per_round(),
-            );
-            lanes.push(i);
-        }
-    }
-    if lanes.is_empty() {
-        return;
-    }
-    let mut ios: Vec<RoundIo> = lanes.iter().map(|_| arena::take_io()).collect();
-    vm.round(&mut ios);
-    for (k, &i) in lanes.iter().enumerate() {
-        let u = &users[i];
-        let key = RoundKey {
-            program_hash: u.program_hash,
-            fuel: u.machine.fuel_per_round(),
-            prefix_hash: first_prefix,
-        };
-        let regs = vm.regs(k);
-        cache::record(key, u.machine.program().as_bytes(), lane_round(&vm, k, &ios[k], &regs));
-        arena::recycle_io(&mut ios[k]);
-    }
-}
+/// How many empty-inbox rounds [`prewarm_deep`] speculates per candidate
+/// for the background prewarm lane.
+pub const PREWARM_DEPTH: usize = 16;
 
-/// The round lane `k` of `vm` just ran into `io`, as a cache entry view;
-/// `regs` is the lane's register file (`vm.regs(k)`, gathered by the
-/// caller, which keeps it for fixed-point detection).
-fn lane_round<'a>(
-    vm: &'a BatchVm,
-    k: usize,
-    io: &'a RoundIo,
-    regs: &'a [u64; REG_COUNT],
-) -> RoundRef<'a> {
-    RoundRef {
-        out_a: &io.out_a,
-        out_b: &io.out_b,
-        halted: vm.halted(k),
-        regs,
-        retired: vm.instructions_retired(k),
-    }
-}
-
-/// Per-candidate speculative depth of [`prewarm_deep`]: `GOC_PREWARM_DEPTH`
-/// (clamped to 1..=64, read once and latched), default 16 rounds.
-pub fn prewarm_depth() -> usize {
-    use std::sync::OnceLock;
-    static DEPTH: OnceLock<usize> = OnceLock::new();
-    *DEPTH.get_or_init(|| {
-        std::env::var("GOC_PREWARM_DEPTH")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|d| d.clamp(1, 64))
-            .unwrap_or(16)
-    })
-}
-
-/// The background (pipelined) variant of [`prewarm_batch`]: shares decodes
-/// the same way, then speculatively runs every cache-enabled candidate up to
-/// `depth` rounds of [`BatchVm`] lockstep under the **empty-inbox**
-/// assumption, memoising each round along the growing empty-prefix key
-/// chain (stopping a lane at its halt).
+/// Speculatively runs every cache-enabled candidate up to `depth` rounds
+/// under the **empty-inbox** assumption, on a clone of its fresh machine,
+/// memoising each round along the growing empty-prefix key chain (stopping
+/// at a halt). The enumerator's background prewarm lane runs this on idle
+/// pool workers for the next lookahead window.
 ///
 /// Why this is sound: the cache key is a pure function of `(program bytes,
 /// fuel, inbox history)`, so an entry recorded here for the history
@@ -320,280 +176,97 @@ pub fn prewarm_depth() -> usize {
 /// search mostly talk into a silent world, so their entire budget slice
 /// becomes cache hits.
 ///
-/// Running lanes in lockstep against a *known* all-empty input stream also
-/// buys an optimisation the live path cannot have: **fixed-point fill**. A
-/// lane's whole inter-round state is its register file (the pc restarts at 0
-/// every round), so if a round leaves the registers exactly unchanged, every
-/// further empty-input round is a verbatim replay of that round. The
-/// executor then parks the lane and fills the rest of its chain by copying
-/// the round's entry — the fuel-burning decoys a universal search wades
-/// through are precisely such loops, and each costs one executed round
-/// instead of `depth`.
+/// Running against a *known* all-empty input stream also buys an
+/// optimisation the live path cannot have: **fixed-point fill**. A
+/// machine's whole inter-round state is its register file (the pc restarts
+/// at 0 every round), so if a round leaves the registers exactly unchanged,
+/// every further empty-input round is a verbatim replay of that round. The
+/// executor then stops and fills the rest of the chain by copying the
+/// round's entry — the fuel-burning decoys a universal search wades through
+/// are precisely such loops, and each costs one executed round instead of
+/// `depth`.
 ///
-/// After the empty chain, a second pass speculates the top-K **predicted**
-/// non-empty continuations of each candidate's first round (see
-/// [`predict`]), covering echoing candidates whose later rounds depend on
-/// the peer's reply. Same soundness argument — predictions only choose which
-/// value-identical entries get built.
-pub fn prewarm_deep<'a>(users: impl IntoIterator<Item = &'a mut VmUser>, depth: usize) {
-    let mut users: Vec<&'a mut VmUser> = users.into_iter().collect();
-    let mut decodes: Vec<Arc<DecodedProgram>> = Vec::new();
-    for u in users.iter_mut() {
-        let code = u.machine.program().as_bytes();
-        let shared = match decodes.iter().find(|d| d.code() == code) {
-            Some(d) => Arc::clone(d),
-            None => {
-                let d = Arc::new(DecodedProgram::new(u.machine.program()));
-                decodes.push(Arc::clone(&d));
-                d
-            }
-        };
-        u.decoded = Some(shared);
-    }
+/// The candidates must be fresh (no round stepped yet): the chain is keyed
+/// from the empty prefix.
+pub fn prewarm_deep<'a>(users: impl IntoIterator<Item = &'a VmUser>, depth: usize) {
     let depth = depth.max(1);
-    let mut vm = BatchVm::new();
-    let mut lanes: Vec<usize> = Vec::new();
-    for (i, u) in users.iter().enumerate() {
-        if !u.use_cache {
-            continue;
-        }
-        // Skip lanes whose empty-prefix chain is already fully memoised
-        // (up to `depth`, or up to a recorded halt) — the chain's keys are
-        // computable without execution, so this costs only hash lookups.
-        let mut prefix = cache::PREFIX_EMPTY;
-        let mut warmed = true;
-        for _ in 0..depth {
-            prefix = cache::extend_prefix(prefix, &[], &[]);
-            let key = RoundKey {
-                program_hash: u.program_hash,
-                fuel: u.machine.fuel_per_round(),
-                prefix_hash: prefix,
-            };
-            match cache::serve(&key, u.machine.program().as_bytes(), |hit| hit.halted.is_some()) {
-                Some(true) => break,
-                Some(false) => {}
-                None => {
-                    warmed = false;
-                    break;
-                }
-            }
-        }
-        if warmed {
-            continue;
-        }
-        vm.push_decoded(
-            Arc::clone(u.decoded.as_ref().expect("assigned above")),
-            u.machine.fuel_per_round(),
-        );
-        lanes.push(i);
-    }
-    if lanes.is_empty() {
-        return;
-    }
-    let mut ios: Vec<RoundIo> = lanes.iter().map(|_| arena::take_io()).collect();
-    let mut prefix = cache::PREFIX_EMPTY;
-    let mut done: Vec<bool> = vec![false; lanes.len()];
-    // Register snapshots and retired counts from before the current round,
-    // for fixed-point detection and fill (freshly pushed lanes start
-    // all-zero, like the scalar machine).
-    let mut prev: Vec<([u64; REG_COUNT], u64)> =
-        (0..lanes.len()).map(|k| (vm.regs(k), vm.instructions_retired(k))).collect();
-    for r in 0..depth {
-        prefix = cache::extend_prefix(prefix, &[], &[]);
-        for io in ios.iter_mut() {
-            io.set_inputs(&[], &[]);
-        }
-        // BatchVm skips halted and parked lanes internally; their outboxes
-        // stay empty, matching the scalar machine.
-        vm.round(&mut ios);
-        goc_core::obs_count_nd!(
-            "vm.prewarm.rounds",
-            done.iter().filter(|&&d| !d).count() as u64
-        );
-        let mut all_done = true;
-        for (k, &i) in lanes.iter().enumerate() {
-            if done[k] {
-                continue;
-            }
-            let u = &users[i];
-            let fuel = u.machine.fuel_per_round();
-            let program = u.machine.program().as_bytes();
-            let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: prefix };
-            let regs = vm.regs(k);
-            let round = lane_round(&vm, k, &ios[k], &regs);
-            cache::record(key, program, round);
-            if round.halted.is_some() {
-                done[k] = true;
-            } else if regs == prev[k].0 {
-                // Fixed point: the round left the registers untouched, so
-                // every remaining empty-input round repeats it verbatim,
-                // retiring the same number of instructions — copy its entry
-                // down the rest of the chain, advancing the cumulative
-                // retired count, and stop burning this lane's fuel.
-                goc_core::obs_count_nd!("vm.prewarm.fixedpoint", 1u64);
-                let delta = round.retired - prev[k].1;
-                let mut p = prefix;
-                let mut copy = round;
-                for _ in r + 1..depth {
-                    p = cache::extend_prefix(p, &[], &[]);
-                    copy.retired += delta;
-                    let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: p };
-                    cache::record(key, program, copy);
-                }
-                vm.park(k);
-                done[k] = true;
-            } else {
-                prev[k] = (regs, round.retired);
-                all_done = false;
-            }
-        }
-        if all_done {
-            break;
+    let mut io = arena::take_io();
+    for u in users {
+        debug_assert_eq!(u.machine.instructions_retired(), 0, "prewarm_deep needs fresh users");
+        if u.use_cache && !empty_chain_warmed(u, depth) {
+            prewarm_empty_chain(u, depth, &mut io);
         }
     }
-    for io in ios.iter_mut() {
-        arena::recycle_io(io);
-    }
-    speculate_predicted(&users, depth);
+    arena::recycle_io(&mut io);
 }
 
-/// Cap on predicted-prefix chains per [`prewarm_deep`] call, bounding the
-/// wasted work a fully mispredicting class table can cause.
-const MAX_SPECULATED_CHAINS: usize = 256;
+/// Whether `u`'s empty-prefix chain is already memoised up to `depth`
+/// rounds, or up to a recorded halt — the chain's keys are computable
+/// without execution, so this costs only hash lookups.
+fn empty_chain_warmed(u: &VmUser, depth: usize) -> bool {
+    let mut prefix = cache::PREFIX_EMPTY;
+    for _ in 0..depth {
+        prefix = cache::extend_prefix(prefix, &[], &[]);
+        let key = RoundKey {
+            program_hash: u.program_hash,
+            fuel: u.machine.fuel_per_round(),
+            prefix_hash: prefix,
+        };
+        match cache::serve(&key, u.machine.program().as_bytes(), |hit| hit.halted.is_some()) {
+            Some(true) => return true,
+            Some(false) => {}
+            None => return false,
+        }
+    }
+    true
+}
 
-/// The predicted-prefix pass of [`prewarm_deep`]: for each cache-enabled
-/// candidate whose (already memoised) first round produced a first-output
-/// class with recorded continuations, speculate the class's top-K
-/// continuations as **stationary** inboxes for rounds `1..depth`, memoising
-/// the corresponding prefix chains. Each chain replays round 0 from a fresh
-/// lane (registers start all-zero, like the scalar machine) against the
-/// empty inbox — whose entry is already cached, so nothing new is inserted —
-/// and then diverges into its predicted inbox.
-///
-/// The stationary-inbox assumption mirrors the empty chain's: universal
-/// search opponents are themselves deterministic transducers, so a peer that
-/// answered `x` once tends to keep answering `x`. A wrong guess misses its
-/// keys and costs nothing at serve time; fixed-point fill applies from round
-/// 1 on because the speculated input stream is constant.
-fn speculate_predicted(users: &[&mut VmUser], depth: usize) {
-    let top_k = predict::top_k();
-    if top_k == 0 || depth < 2 {
-        return;
-    }
-    let first_prefix = cache::extend_prefix(cache::PREFIX_EMPTY, &[], &[]);
-    let mut vm = BatchVm::new();
-    // Per-chain (user index, predicted stationary inbox).
-    let mut specs: Vec<(usize, Vec<u8>, Vec<u8>)> = Vec::new();
-    'users: for (i, u) in users.iter().enumerate() {
-        if !u.use_cache {
-            continue;
+/// Runs and records `u`'s empty-prefix chain on a clone of its machine (see
+/// [`prewarm_deep`]), with fixed-point fill.
+fn prewarm_empty_chain(u: &VmUser, depth: usize, io: &mut RoundIo) {
+    let mut m = u.machine.clone();
+    let fuel = m.fuel_per_round();
+    let program = u.machine.program().as_bytes();
+    let mut prefix = cache::PREFIX_EMPTY;
+    // Registers and retired count from before the current round, for
+    // fixed-point detection and fill.
+    let mut prev = (*m.regs(), m.instructions_retired());
+    for r in 0..depth {
+        prefix = cache::extend_prefix(prefix, &[], &[]);
+        io.reset();
+        m.round(io);
+        goc_core::obs_count_nd!("vm.prewarm.rounds", 1u64);
+        let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: prefix };
+        let round = RoundRef {
+            out_a: &io.out_a,
+            out_b: &io.out_b,
+            halted: m.halted(),
+            regs: m.regs(),
+            retired: m.instructions_retired(),
+        };
+        cache::record(key, program, round);
+        if round.halted.is_some() {
+            return;
         }
-        let program = u.machine.program().as_bytes();
-        let fuel = u.machine.fuel_per_round();
-        let key0 = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: first_prefix };
-        let first = cache::serve(&key0, program, |first| {
-            first.halted.is_none().then(|| predict::signature(first.out_a, first.out_b))
-        });
-        let Some(Some(sig)) = first else { continue };
-        for (pa, pb) in predict::predict(sig, top_k) {
-            if pa.is_empty() && pb.is_empty() {
-                continue; // the empty chain is speculated unconditionally
+        if *round.regs == prev.0 {
+            // Fixed point: the round left the registers untouched, so every
+            // remaining empty-input round repeats it verbatim, retiring the
+            // same number of instructions — copy its entry down the rest of
+            // the chain, advancing the cumulative retired count, and stop
+            // burning fuel.
+            goc_core::obs_count_nd!("vm.prewarm.fixedpoint", 1u64);
+            let delta = round.retired - prev.1;
+            let mut p = prefix;
+            let mut copy = round;
+            for _ in r + 1..depth {
+                p = cache::extend_prefix(p, &[], &[]);
+                copy.retired += delta;
+                let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: p };
+                cache::record(key, program, copy);
             }
-            // Skip chains already fully memoised (or memoised to a halt) —
-            // keys are computable without execution.
-            let mut prefix = first_prefix;
-            let mut warmed = true;
-            for _ in 1..depth {
-                prefix = cache::extend_prefix(prefix, &pa, &pb);
-                let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: prefix };
-                match cache::serve(&key, program, |hit| hit.halted.is_some()) {
-                    Some(true) => break,
-                    Some(false) => {}
-                    None => {
-                        warmed = false;
-                        break;
-                    }
-                }
-            }
-            if warmed {
-                continue;
-            }
-            vm.push_decoded(Arc::clone(u.decoded.as_ref().expect("assigned above")), fuel);
-            specs.push((i, pa, pb));
-            if specs.len() >= MAX_SPECULATED_CHAINS {
-                break 'users;
-            }
+            return;
         }
-    }
-    if specs.is_empty() {
-        return;
-    }
-    goc_core::obs_count_nd!("vm.prewarm.spec_chains", specs.len() as u64);
-    predict::note_speculated(specs.len() as u64);
-    let mut ios: Vec<RoundIo> = specs.iter().map(|_| arena::take_io()).collect();
-    // Round 0: the empty inbox, rebuilding each lane's register state. Its
-    // entry is already cached (that's how the class signature was found).
-    for io in ios.iter_mut() {
-        io.set_inputs(&[], &[]);
-    }
-    vm.round(&mut ios);
-    let mut done: Vec<bool> = vec![false; specs.len()];
-    let mut prefixes: Vec<u128> = vec![first_prefix; specs.len()];
-    let mut prev: Vec<([u64; REG_COUNT], u64)> =
-        (0..specs.len()).map(|k| (vm.regs(k), vm.instructions_retired(k))).collect();
-    for r in 1..depth {
-        let mut live = 0u64;
-        for (k, (_, pa, pb)) in specs.iter().enumerate() {
-            if !done[k] {
-                ios[k].set_inputs(pa, pb);
-                live += 1;
-            } else {
-                ios[k].reset();
-            }
-        }
-        if live == 0 {
-            break;
-        }
-        vm.round(&mut ios);
-        goc_core::obs_count_nd!("vm.prewarm.spec_rounds", live);
-        for (k, &(i, ref pa, ref pb)) in specs.iter().enumerate() {
-            if done[k] {
-                continue;
-            }
-            let u = &users[i];
-            let fuel = u.machine.fuel_per_round();
-            let program = u.machine.program().as_bytes();
-            prefixes[k] = cache::extend_prefix(prefixes[k], pa, pb);
-            let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: prefixes[k] };
-            let regs = vm.regs(k);
-            let round = lane_round(&vm, k, &ios[k], &regs);
-            cache::record(key, program, round);
-            if round.halted.is_some() {
-                done[k] = true;
-            } else if regs == prev[k].0 {
-                // Fixed point under a stationary inbox: every remaining
-                // round repeats this one verbatim (same registers, same
-                // inputs, same retired delta) — fill the rest of the chain
-                // and park the lane.
-                goc_core::obs_count_nd!("vm.prewarm.fixedpoint", 1u64);
-                let delta = round.retired - prev[k].1;
-                let mut p = prefixes[k];
-                let mut copy = round;
-                for _ in r + 1..depth {
-                    p = cache::extend_prefix(p, pa, pb);
-                    copy.retired += delta;
-                    let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: p };
-                    cache::record(key, program, copy);
-                }
-                vm.park(k);
-                done[k] = true;
-            } else {
-                prev[k] = (regs, round.retired);
-            }
-        }
-    }
-    for io in ios.iter_mut() {
-        arena::recycle_io(io);
+        prev = (*round.regs, round.retired);
     }
 }
 
@@ -604,7 +277,7 @@ impl UserStrategy for VmUser {
             self.cached_round(in_a, in_b);
         } else {
             self.io.set_inputs(in_a, in_b);
-            self.run_round();
+            self.machine.round(&mut self.io);
         }
         UserOut {
             to_server: Message::from_bytes(&self.io.out_a),
@@ -654,9 +327,6 @@ impl UserStrategy for VmUser {
         self.machine.restore_snap(&mut block)?;
         block.finish()?;
         self.prefix_hash = r.u128("vm-user prefix hash")?;
-        // The decode table is a pure function of the program bytes; drop any
-        // stale pin and let the next round rebuild (or re-share) it.
-        self.decoded = None;
         Ok(())
     }
 }

@@ -3,10 +3,10 @@
 //! The universal users spawn and eliminate candidates constantly — every
 //! schedule slot builds a fresh [`VmUser`](crate::adapter::VmUser) (program
 //! bytes + a [`RoundIo`] with four outbox/inbox `Vec`s) and drops the
-//! previous one. Under batch mode (`GOC_BATCH`, see [`crate::batch`]) those
-//! buffers come from and return to a thread-local free-list instead of the
-//! global allocator: one arena per enumeration thread, recycled on
-//! elimination, so steady-state candidate turnover costs zero heap traffic.
+//! previous one. Those buffers come from and return to a thread-local
+//! free-list instead of the global allocator: one arena per enumeration
+//! thread, recycled on elimination, so steady-state candidate turnover costs
+//! zero heap traffic.
 //!
 //! Lifetime safety: recycling happens on candidate *drop*, and the
 //! [`cache`](crate::cache) pins its **own** copy of every program it
@@ -86,60 +86,6 @@ pub fn pooled_count() -> usize {
     POOL.with(|p| p.borrow().len())
 }
 
-/// Per-thread cap on pooled register-column buffers. Column buffers are an
-/// order of magnitude larger than message buffers (a whole batch's register
-/// file each), so the pool is kept small.
-const MAX_POOLED_REG_BUFS: usize = 32;
-
-/// Register-column buffers with more capacity than this many `u64` slots are
-/// dropped rather than pooled (= the file of a 4096-lane batch).
-const MAX_REG_SLOTS_CAP: usize = 1 << 15;
-
-thread_local! {
-    static REG_POOL: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Takes a **zeroed** `u64` buffer of exactly `len` slots for a
-/// struct-of-arrays register file, reusing a recycled column buffer when one
-/// is pooled. The batch interpreter's `RegColumns` grows through this, so
-/// repeated batch builds during enumeration re-lay registers into the same
-/// handful of allocations.
-pub fn take_reg_slots(len: usize) -> Vec<u64> {
-    let pooled = REG_POOL.with(|p| p.borrow_mut().pop());
-    match pooled {
-        Some(mut v) => {
-            goc_core::obs_count_nd!("vm.arena.reg_reuse", 1u64);
-            v.clear();
-            v.resize(len, 0);
-            v
-        }
-        None => {
-            goc_core::obs_count_nd!("vm.arena.reg_alloc", 1u64);
-            vec![0u64; len]
-        }
-    }
-}
-
-/// Returns a register-column buffer to the arena (dropped when over the
-/// caps).
-pub fn put_reg_slots(v: Vec<u64>) {
-    if v.capacity() == 0 || v.capacity() > MAX_REG_SLOTS_CAP {
-        return;
-    }
-    REG_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < MAX_POOLED_REG_BUFS {
-            pool.push(v);
-        }
-    });
-}
-
-/// Number of register-column buffers currently pooled on this thread
-/// (test hook).
-pub fn pooled_reg_count() -> usize {
-    REG_POOL.with(|p| p.borrow().len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,29 +111,6 @@ mod tests {
         assert_eq!(pooled_count(), before);
         put_bytes(Vec::with_capacity(MAX_VEC_CAP + 1));
         assert_eq!(pooled_count(), before);
-    }
-
-    #[test]
-    fn reg_slots_cycle_reuses_and_rezeroes() {
-        let mut v = take_reg_slots(16);
-        assert!(v.iter().all(|&s| s == 0));
-        v[3] = 99;
-        put_reg_slots(v);
-        let before = pooled_reg_count();
-        assert!(before > 0);
-        let v2 = take_reg_slots(32);
-        assert_eq!(pooled_reg_count(), before - 1);
-        assert_eq!(v2.len(), 32);
-        assert!(v2.iter().all(|&s| s == 0), "recycled slots must come back zeroed");
-    }
-
-    #[test]
-    fn oversized_reg_buffers_are_not_pooled() {
-        let before = pooled_reg_count();
-        put_reg_slots(Vec::new());
-        assert_eq!(pooled_reg_count(), before);
-        put_reg_slots(Vec::with_capacity(MAX_REG_SLOTS_CAP + 1));
-        assert_eq!(pooled_reg_count(), before);
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl CachedRound {
 }
 
 /// A borrowed [`CachedRound`]: what the round's writers record from (a live
-/// machine, a batch lane) and what a hit is served as, without copying the
+/// user's machine, a prewarm clone) and what a hit is served as, without copying the
 /// byte fields into owned buffers first.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RoundRef<'a> {

@@ -1,52 +1,40 @@
-//! The `GOC_DISPATCH` gate for the table-driven interpreter core.
+//! The per-thread switch between the production interpreter core and its
+//! executable specification.
 //!
-//! With dispatch on (the default), [`Machine::round`] predecodes its program
-//! once and drives every round through the per-opcode handler table in
-//! [`machine`](crate::machine) — the same table the batch interpreter and
-//! the prewarm executor dispatch from, so all three paths share exactly one
-//! semantics. `GOC_DISPATCH=0` selects the original scalar `match` loop,
-//! kept as the executable specification the table is differentially tested
-//! against (`crates/vm/tests/dispatch_equivalence.rs`).
-//!
-//! Like `GOC_BATCH` and `GOC_PREWARM`, the flag is observationally inert:
-//! outboxes, halt payloads, registers, retired-instruction counts, and the
-//! `GOC_TRACE` stream are byte-identical either way (gated in ci.sh). The
-//! environment variable is read once and latched; [`with_dispatch`] is the
-//! race-free per-thread override for tests and apples-to-apples benchmarks.
+//! [`Machine::round`] runs every round through the predecoded production
+//! core. Inside [`with_dispatch(false, ..)`](with_dispatch) it runs the
+//! original `match` loop instead — the specification the production core is
+//! differentially tested against (`crates/vm/tests/dispatch_equivalence.rs`)
+//! and priced against (the E14 and E16 benches). The two are observably
+//! identical: outboxes, halt payloads, registers and retired-instruction
+//! counts agree byte for byte. There is no environment variable; production
+//! always runs the predecoded core.
 //!
 //! [`Machine::round`]: crate::machine::Machine::round
 
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 thread_local! {
-    static DISPATCH_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
+    static SPEC_LOOP: Cell<bool> = const { Cell::new(false) };
 }
 
-fn env_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("GOC_DISPATCH").map(|v| v != "0").unwrap_or(true))
-}
-
-/// Whether table dispatch is on: a thread-local [`with_dispatch`] override
-/// if present, else the `GOC_DISPATCH` environment latch (default **on**;
-/// `GOC_DISPATCH=0` is the scalar `match` loop). Read once and latched.
+/// Whether this thread runs the production core (`true`, the default) or
+/// the specification `match` loop (inside `with_dispatch(false, ..)`).
 pub fn enabled() -> bool {
-    DISPATCH_OVERRIDE.with(|c| c.get()).unwrap_or_else(env_enabled)
+    !SPEC_LOOP.with(Cell::get)
 }
 
-/// Runs `f` with table dispatch forced on/off on this thread, restoring the
-/// previous state afterwards (also on panic). The E16 micro-bench uses this
-/// to time both interpreter cores in one process; the environment latch is
-/// immutable after first read.
+/// Runs `f` on this thread with the production core (`true`) or the
+/// specification `match` loop (`false`), restoring the previous choice
+/// afterwards (also on panic).
 pub fn with_dispatch<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
+    struct Restore(bool);
     impl Drop for Restore {
         fn drop(&mut self) {
-            DISPATCH_OVERRIDE.with(|c| c.set(self.0));
+            SPEC_LOOP.with(|c| c.set(self.0));
         }
     }
-    let _restore = Restore(DISPATCH_OVERRIDE.with(|c| c.replace(Some(enabled))));
+    let _restore = Restore(SPEC_LOOP.with(|c| c.replace(!enabled)));
     f()
 }
 
@@ -56,12 +44,12 @@ mod tests {
 
     #[test]
     fn with_dispatch_overrides_and_restores() {
-        let outer = enabled();
-        with_dispatch(!outer, || {
-            assert_eq!(enabled(), !outer);
-            with_dispatch(outer, || assert_eq!(enabled(), outer));
-            assert_eq!(enabled(), !outer);
+        assert!(enabled(), "the production core is the default");
+        with_dispatch(false, || {
+            assert!(!enabled());
+            with_dispatch(true, || assert!(enabled()));
+            assert!(!enabled());
         });
-        assert_eq!(enabled(), outer);
+        assert!(enabled());
     }
 }

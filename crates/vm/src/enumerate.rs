@@ -151,18 +151,17 @@ impl ProgramEnumerator {
     }
 
     /// Dispatches background jobs that build (and deep-prewarm) the users
-    /// for `indices` on idle pool workers. No-op unless the batch
-    /// interpreter is active, `GOC_PREWARM` is on, and there is at least one
-    /// idle worker (`thread_count() > 1`) — in every other configuration a
-    /// later [`batch`](StrategyEnumerator::batch) builds inline exactly as
-    /// before.
+    /// for `indices` on idle pool workers. No-op unless `GOC_PREWARM` is on
+    /// and there is at least one idle worker (`thread_count() > 1`) — in
+    /// every other configuration a later
+    /// [`batch`](StrategyEnumerator::batch) builds inline exactly as before.
     ///
     /// Soundness: `make_user` is a pure function of the index, and the deep
     /// prewarm ([`crate::adapter::prewarm_deep`]) only inserts
     /// value-identical entries into the candidate cache, so consuming a
     /// stashed user is observably identical to building it inline.
     fn prefetch_impl(&self, indices: &[usize]) {
-        if !crate::batch::enabled() || !par::prewarm_enabled() || par::thread_count() <= 1 {
+        if !par::prewarm_enabled() || par::thread_count() <= 1 {
             return;
         }
         let total = self.total();
@@ -205,17 +204,13 @@ impl ProgramEnumerator {
             let shared = Arc::clone(&self.prewarm);
             goc_core::obs_count_nd!("vm.prewarm.jobs", 1u64);
             handles.push(pool::submit(move || {
-                // The worker thread has its own batch override (off) — pin
-                // the interpreter the dispatching thread checked.
-                crate::batch::with_batch(true, || {
-                    let mut users: Vec<(usize, VmUser)> =
-                        shard.iter().map(|&i| (i, spec.make_user(i))).collect();
-                    crate::adapter::prewarm_deep(
-                        users.iter_mut().map(|(_, u)| u),
-                        crate::adapter::prewarm_depth(),
-                    );
-                    lock_prewarm(&shared).ready.append(&mut users);
-                });
+                let mut users: Vec<(usize, VmUser)> =
+                    shard.iter().map(|&i| (i, spec.make_user(i))).collect();
+                crate::adapter::prewarm_deep(
+                    users.iter().map(|(_, u)| u),
+                    crate::adapter::PREWARM_DEPTH,
+                );
+                lock_prewarm(&shared).ready.append(&mut users);
             }));
         }
         lock_prewarm(&self.prewarm).pending = handles;
@@ -260,34 +255,25 @@ impl ProgramEnumerator {
     }
 
     /// Builds the users for `orig` (per-slot original indices; `None` = out
-    /// of range) under the batch interpreter: stashed background-built users
-    /// are claimed first, the rest are built inline and first-round
-    /// prewarmed exactly as the non-pipelined path does.
-    fn build_batch(&self, orig: &[Option<usize>]) -> Vec<Option<VmUser>> {
+    /// of range): stashed background-built users are claimed first, the
+    /// rest are built inline on the calling thread (arena-backed buffers are
+    /// thread-local). A fresh candidate's first step records its own first
+    /// round in the candidate cache.
+    fn build_batch(&self, orig: &[Option<usize>]) -> Vec<Option<BoxedUser>> {
         let total = self.total();
         let wanted: Vec<Option<usize>> = orig
             .iter()
             .map(|&o| o.filter(|&i| total.is_none_or(|t| i < t)))
             .collect();
-        let mut users = self.take_prewarmed(&wanted);
-        let mut fresh: Vec<bool> = vec![false; users.len()];
-        for (slot, &want) in wanted.iter().enumerate() {
-            if users[slot].is_none() {
-                if let Some(index) = want {
-                    users[slot] = Some(self.make_user(index));
-                    fresh[slot] = true;
-                }
-            }
-        }
-        // Stashed users already carry their shared decode and cache
-        // entries; only inline-built candidates need the lockstep prewarm.
-        crate::adapter::prewarm_batch(
-            users
-                .iter_mut()
-                .zip(fresh.iter())
-                .filter_map(|(u, &was_fresh)| if was_fresh { u.as_mut() } else { None }),
-        );
-        users
+        let stashed = self.take_prewarmed(&wanted);
+        wanted
+            .into_iter()
+            .zip(stashed)
+            .map(|(want, stashed)| {
+                let user = stashed.or_else(|| want.map(|index| self.make_user(index)))?;
+                Some(Box::new(user) as BoxedUser)
+            })
+            .collect()
     }
 
     /// Number of programs of length exactly `len` (may saturate at
@@ -336,16 +322,11 @@ impl ProgramEnumerator {
             }
         }
         // Write `remaining` in base `a`, most significant digit first,
-        // padded to `len` digits. Under batch mode the digit buffer comes
-        // from the candidate arena (and returns to it when the candidate is
-        // eliminated, via `VmUser`'s drop).
-        let mut digits = if crate::batch::enabled() {
-            let mut v = crate::arena::take_bytes(len);
-            v.resize(len, 0);
-            v
-        } else {
-            vec![0u8; len]
-        };
+        // padded to `len` digits. The digit buffer comes from the candidate
+        // arena (and returns to it when the candidate is eliminated, via
+        // `VmUser`'s drop).
+        let mut digits = crate::arena::take_bytes(len);
+        digits.resize(len, 0);
         let mut value = remaining;
         for slot in digits.iter_mut().rev() {
             *slot = self.alphabet[(value % a) as usize];
@@ -511,17 +492,7 @@ impl StrategyEnumerator for DedupedProgramEnumerator {
     fn batch(&self, indices: &[usize]) -> Vec<Option<BoxedUser>> {
         let mapped: Vec<Option<usize>> =
             indices.iter().map(|&i| self.representatives.get(i).copied()).collect();
-        let total = self.inner.total();
-        let in_range =
-            |orig: usize| total.map_or(true, |t| orig < t);
-        if crate::batch::enabled() {
-            let users = self.inner.build_batch(&mapped);
-            return users.into_iter().map(|u| u.map(|u| Box::new(u) as BoxedUser)).collect();
-        }
-        let users = par::par_map(mapped.len(), |k| {
-            mapped[k].and_then(|orig| in_range(orig).then(|| self.inner.make_user(orig)))
-        });
-        users.into_iter().map(|u| u.map(|u| Box::new(u) as BoxedUser)).collect()
+        self.inner.build_batch(&mapped)
     }
 
     fn prefetch(&self, indices: &[usize]) {
@@ -550,25 +521,8 @@ impl StrategyEnumerator for ProgramEnumerator {
     }
 
     fn batch(&self, indices: &[usize]) -> Vec<Option<BoxedUser>> {
-        let total = self.total();
-        if crate::batch::enabled() {
-            // Batch mode: claim any background-built candidates from the
-            // prewarm stash, build the rest inline on the calling thread
-            // (arena-backed buffers are thread-local) and prewarm those —
-            // one shared decode per program text plus a lockstep first
-            // round for cache-enabled candidates (`adapter::prewarm_batch`).
-            let orig: Vec<Option<usize>> = indices.iter().map(|&i| Some(i)).collect();
-            let users = self.build_batch(&orig);
-            return users.into_iter().map(|u| u.map(|u| Box::new(u) as BoxedUser)).collect();
-        }
-        // Scalar mode: VmUser is Send and construction is pure, so
-        // materialise the batch on the worker pool; boxing happens on the
-        // calling thread because BoxedUser carries no Send bound.
-        let users = par::par_map(indices.len(), |k| {
-            let index = indices[k];
-            total.map_or(true, |t| index < t).then(|| self.make_user(index))
-        });
-        users.into_iter().map(|u| u.map(|u| Box::new(u) as BoxedUser)).collect()
+        let orig: Vec<Option<usize>> = indices.iter().map(|&i| Some(i)).collect();
+        self.build_batch(&orig)
     }
 
     fn prefetch(&self, indices: &[usize]) {

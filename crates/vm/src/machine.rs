@@ -10,18 +10,17 @@
 //! byte strings — e.g. produced by enumeration — execute without panics or
 //! divergence.
 //!
-//! **Two interpreter cores, one semantics.** The default core predecodes the
-//! program once into a [`DecodedProgram`] — a dense opcode index plus
-//! flattened operands per byte offset — and executes through `DISPATCH`, a
-//! `const` table of per-opcode handler functions (unsafe-free fn-pointer
-//! dispatch). Scalar rounds, the lockstep batch interpreter
-//! ([`BatchVm`](crate::batch::BatchVm)), and the prewarm executor all step
-//! through the same table via `StepLane`, so there is exactly one place
-//! opcode semantics live. `GOC_DISPATCH=0` (see [`dispatch`](crate::dispatch))
-//! selects `Machine::round_match`'s original `match` loop instead — kept as
-//! the executable specification the table is differentially tested against.
+//! **One production core, one specification.** A machine predecodes its
+//! program once into a `DecodedProgram` — a dense opcode plus flattened
+//! operands per byte offset, with jump targets resolved — and every round
+//! runs through `exec_op`, whose `match` is the single opcode → handler
+//! map. `Machine::round_match` keeps the original `match` loop over
+//! [`Instr`] as the executable specification; it runs only inside
+//! [`dispatch::with_dispatch(false, ..)`](crate::dispatch::with_dispatch),
+//! which tests and benches use to check and price the production core
+//! against it.
 
-use crate::instr::{Chan, Instr, OPCODE_COUNT, REG_COUNT};
+use crate::instr::{Chan, Instr, REG_COUNT};
 use crate::program::Program;
 use goc_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::sync::Arc;
@@ -92,7 +91,7 @@ pub struct Machine {
     fuel_per_round: u32,
     halted: Option<Vec<u8>>,
     instructions_retired: u64,
-    /// Lazily built (and `Clone`-shared) decode for table dispatch. Never
+    /// Lazily built (and `Clone`-shared) decode for the production core. Never
     /// serialized: snapshots carry the program bytes, and a restore into the
     /// same program keeps the decode valid.
     decoded: Option<Arc<DecodedProgram>>,
@@ -151,36 +150,41 @@ impl Machine {
     ///
     /// A halted machine does nothing (outboxes stay empty).
     ///
-    /// With [`dispatch::enabled`](crate::dispatch::enabled) (the default)
-    /// the round runs through the predecoded handler table, built lazily on
-    /// first use and shared across rounds; `GOC_DISPATCH=0` selects the
-    /// `match` loop in `round_match`. Both cores are observably identical.
+    /// The round runs through the predecoded program, built on first use
+    /// and borrowed by every later round. Inside
+    /// [`dispatch::with_dispatch(false, ..)`](crate::dispatch::with_dispatch)
+    /// it runs the specification `match` loop instead; both are observably
+    /// identical.
     pub fn round(&mut self, io: &mut RoundIo) {
         if self.halted.is_some() || self.program.is_empty() {
             return;
         }
-        if crate::dispatch::enabled() {
-            let decoded = match &self.decoded {
-                Some(d) => Arc::clone(d),
-                None => {
-                    let d = Arc::new(DecodedProgram::new(&self.program));
-                    self.decoded = Some(Arc::clone(&d));
-                    d
-                }
-            };
-            self.round_decoded(&decoded, io);
-        } else {
+        if !crate::dispatch::enabled() {
             self.round_match(io);
+            return;
+        }
+        let program = &self.program;
+        let decoded = self.decoded.get_or_insert_with(|| Arc::new(DecodedProgram::new(program)));
+        let ops = &decoded.ops[..];
+        let mut fuel = self.fuel_per_round;
+        let mut lane = StepLane { pc: 0, cur_a: 0, cur_b: 0, regs: &mut self.regs, io };
+        while lane.pc < ops.len() && fuel > 0 {
+            fuel -= 1;
+            self.instructions_retired += 1;
+            match exec_op(ops[lane.pc], &mut lane) {
+                StepOutcome::Continue => {}
+                StepOutcome::End => return,
+                StepOutcome::Halt => {
+                    self.halted = Some(lane.io.out_b.clone());
+                    return;
+                }
+            }
         }
     }
 
-    /// The original scalar `match` interpreter loop — the executable
-    /// specification the dispatch table is tested against, and the round
-    /// core when `GOC_DISPATCH=0`.
+    /// The original `match` interpreter loop over [`Instr`] — the
+    /// executable specification the production core is tested against.
     fn round_match(&mut self, io: &mut RoundIo) {
-        if self.halted.is_some() || self.program.is_empty() {
-            return;
-        }
         let code_len = self.program.len();
         let mut pc = 0usize;
         let mut fuel = self.fuel_per_round;
@@ -265,48 +269,6 @@ impl Machine {
         target.rem_euclid(code_len as i64) as usize
     }
 
-    /// Executes one round through a predecoded program — the jump-table
-    /// dispatch twin of [`Machine::round`], observably identical (outboxes,
-    /// registers, halt payload, retired-instruction count) but with decode,
-    /// operand reads, and jump reduction all hoisted out of the loop.
-    ///
-    /// `decoded` must be [`DecodedProgram::new`] of this machine's program;
-    /// that invariant is debug-asserted.
-    pub fn round_decoded(&mut self, decoded: &DecodedProgram, io: &mut RoundIo) {
-        debug_assert_eq!(
-            decoded.code(),
-            self.program.as_bytes(),
-            "DecodedProgram does not match this machine's program"
-        );
-        if self.halted.is_some() || self.program.is_empty() {
-            return;
-        }
-        let code_len = decoded.len();
-        let mut pc = 0usize;
-        let mut fuel = self.fuel_per_round;
-        let mut cur_a = 0usize;
-        let mut cur_b = 0usize;
-        while pc < code_len && fuel > 0 {
-            fuel -= 1;
-            self.instructions_retired += 1;
-            let mut lane = StepLane {
-                pc: &mut pc,
-                regs: RegLane::scalar(&mut self.regs),
-                io: &mut *io,
-                cur_a: &mut cur_a,
-                cur_b: &mut cur_b,
-            };
-            match decoded.step(&mut lane) {
-                StepOutcome::Continue => {}
-                StepOutcome::End => return,
-                StepOutcome::Halt => {
-                    self.halted = Some(io.out_b.clone());
-                    return;
-                }
-            }
-        }
-    }
-
     /// Moves the machine to a memoised post-round state: the registers,
     /// cumulative retired count and halt payload the candidate cache
     /// recorded for this machine's program, fuel and interaction prefix.
@@ -379,9 +341,9 @@ impl Machine {
     }
 }
 
-/// Outcome of executing one decoded instruction (see [`DecodedProgram::step`]).
+/// Outcome of executing one decoded instruction (see [`exec_op`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum StepOutcome {
+enum StepOutcome {
     /// Fell through or jumped; the round continues.
     Continue,
     /// `end` — the round is over.
@@ -390,71 +352,45 @@ pub(crate) enum StepOutcome {
     Halt,
 }
 
-/// A strided view of one lane's registers, so the scalar machine's
-/// `[u64; REG_COUNT]` (stride 1, lane 0) and one lane of the batch
-/// interpreter's per-register columns (stride = column stride) read and
-/// write through the same two accessors — the dispatch handlers see exactly
-/// one register model. Register `r` lives at `slots[r * stride + lane]`.
-pub(crate) struct RegLane<'a> {
-    slots: &'a mut [u64],
-    stride: usize,
-    lane: usize,
+/// The mutable per-round execution state threaded through [`exec_op`]. The
+/// round loop owns fuel and retired-instruction accounting (charged
+/// *before* each step, as the `match` loop does).
+struct StepLane<'a> {
+    pc: usize,
+    cur_a: usize,
+    cur_b: usize,
+    regs: &'a mut [u64; REG_COUNT],
+    io: &'a mut RoundIo,
 }
 
-impl<'a> RegLane<'a> {
-    /// The scalar view over a machine's own register array.
-    #[inline(always)]
-    pub(crate) fn scalar(regs: &'a mut [u64; REG_COUNT]) -> Self {
-        RegLane { slots: regs, stride: 1, lane: 0 }
-    }
-
-    /// One lane of a struct-of-arrays register file.
-    #[inline(always)]
-    pub(crate) fn strided(slots: &'a mut [u64], stride: usize, lane: usize) -> Self {
-        debug_assert!(lane < stride, "lane {lane} outside stride {stride}");
-        debug_assert!(slots.len() >= REG_COUNT * stride, "register file too small");
-        RegLane { slots, stride, lane }
-    }
-
-    #[inline(always)]
-    fn get(&self, r: u8) -> u64 {
-        self.slots[r as usize * self.stride + self.lane]
-    }
-
-    #[inline(always)]
-    fn set(&mut self, r: u8, v: u64) {
-        self.slots[r as usize * self.stride + self.lane] = v;
-    }
+/// Dense opcode of a [`DecodedOp`], mirroring the opcode byte map in
+/// [`crate::instr`] exactly.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Halt,
+    EmitA,
+    EmitB,
+    EmitAReg,
+    EmitBReg,
+    ReadA,
+    ReadB,
+    Const,
+    Add,
+    Inc,
+    JmpIfZero,
+    Jmp,
+    CopyA,
+    CopyB,
+    AddConst,
+    EndRound,
 }
 
-/// The mutable per-round execution state of one lane, threaded through every
-/// dispatch handler. The caller owns fuel and retired-instruction accounting
-/// (charged *before* each step, as the scalar loop does).
-pub(crate) struct StepLane<'a> {
-    pub(crate) pc: &'a mut usize,
-    pub(crate) regs: RegLane<'a>,
-    pub(crate) io: &'a mut RoundIo,
-    pub(crate) cur_a: &'a mut usize,
-    pub(crate) cur_b: &'a mut usize,
-}
-
-impl StepLane<'_> {
-    /// Falls through to `op`'s next pc and continues the round.
-    #[inline(always)]
-    fn advance(&mut self, op: DecodedOp) -> StepOutcome {
-        *self.pc = op.next as usize;
-        StepOutcome::Continue
-    }
-}
-
-/// One predecoded instruction slot (see [`DecodedProgram`]): the dense
-/// opcode index that selects the [`DISPATCH`] handler, plus its operands
-/// flattened out of [`Instr`] (register indices already reduced mod
-/// `REG_COUNT`, channel selectors as 0 = A / 1 = B).
+/// One predecoded instruction slot (see [`DecodedProgram`]): the opcode
+/// plus its operands flattened out of [`Instr`] (register indices already
+/// reduced mod `REG_COUNT`, channel selectors as 0 = A / 1 = B).
 #[derive(Clone, Copy, Debug)]
 struct DecodedOp {
-    /// Dense opcode index in `0..OPCODE_COUNT` — the handler-table slot.
-    op: u8,
+    op: Op,
     /// First operand: register index, immediate byte, or channel selector.
     a: u8,
     /// Second operand (two-operand opcodes only).
@@ -465,199 +401,114 @@ struct DecodedOp {
     target: u32,
 }
 
-/// Flattens a decoded [`Instr`] into `(dense opcode, operand a, operand b)`.
-/// The dense index mirrors the opcode byte map in [`crate::instr`] exactly.
-fn flatten(instr: Instr) -> (u8, u8, u8) {
+/// Flattens a decoded [`Instr`] into `(opcode, operand a, operand b)`.
+fn flatten(instr: Instr) -> (Op, u8, u8) {
     let chan = |c: Chan| match c {
         Chan::A => 0u8,
         Chan::B => 1u8,
     };
     match instr {
-        Instr::Halt => (0, 0, 0),
-        Instr::EmitA(x) => (1, x, 0),
-        Instr::EmitB(x) => (2, x, 0),
-        Instr::EmitAReg(r) => (3, r.index() as u8, 0),
-        Instr::EmitBReg(r) => (4, r.index() as u8, 0),
-        Instr::ReadA(r) => (5, r.index() as u8, 0),
-        Instr::ReadB(r) => (6, r.index() as u8, 0),
-        Instr::Const(r, x) => (7, r.index() as u8, x),
-        Instr::Add(r, s) => (8, r.index() as u8, s.index() as u8),
-        Instr::Inc(r) => (9, r.index() as u8, 0),
-        Instr::JmpIfZero(r, _) => (10, r.index() as u8, 0),
-        Instr::Jmp(_) => (11, 0, 0),
-        Instr::CopyA(c) => (12, chan(c), 0),
-        Instr::CopyB(c) => (13, chan(c), 0),
-        Instr::AddConst(r, x) => (14, r.index() as u8, x),
-        Instr::EndRound => (15, 0, 0),
+        Instr::Halt => (Op::Halt, 0, 0),
+        Instr::EmitA(x) => (Op::EmitA, x, 0),
+        Instr::EmitB(x) => (Op::EmitB, x, 0),
+        Instr::EmitAReg(r) => (Op::EmitAReg, r.index() as u8, 0),
+        Instr::EmitBReg(r) => (Op::EmitBReg, r.index() as u8, 0),
+        Instr::ReadA(r) => (Op::ReadA, r.index() as u8, 0),
+        Instr::ReadB(r) => (Op::ReadB, r.index() as u8, 0),
+        Instr::Const(r, x) => (Op::Const, r.index() as u8, x),
+        Instr::Add(r, s) => (Op::Add, r.index() as u8, s.index() as u8),
+        Instr::Inc(r) => (Op::Inc, r.index() as u8, 0),
+        Instr::JmpIfZero(r, _) => (Op::JmpIfZero, r.index() as u8, 0),
+        Instr::Jmp(_) => (Op::Jmp, 0, 0),
+        Instr::CopyA(c) => (Op::CopyA, chan(c), 0),
+        Instr::CopyB(c) => (Op::CopyB, chan(c), 0),
+        Instr::AddConst(r, x) => (Op::AddConst, r.index() as u8, x),
+        Instr::EndRound => (Op::EndRound, 0, 0),
     }
 }
 
-/// One handler per opcode. Handlers set `*lane.pc` themselves (fall-through
-/// or jump target) and return the round outcome; `Halt`/`End` leave the pc
-/// untouched since the round is over.
-type Handler = fn(DecodedOp, &mut StepLane<'_>) -> StepOutcome;
-
-/// The computed-goto-style dispatch table, indexed by [`DecodedOp::op`].
-/// Order must match [`flatten`] (== the opcode byte map in [`crate::instr`]).
-const DISPATCH: [Handler; OPCODE_COUNT as usize] = [
-    op_halt,
-    op_emit_a,
-    op_emit_b,
-    op_emit_a_reg,
-    op_emit_b_reg,
-    op_read_a,
-    op_read_b,
-    op_const,
-    op_add,
-    op_inc,
-    op_jmp_if_zero,
-    op_jmp,
-    op_copy_a,
-    op_copy_b,
-    op_add_const,
-    op_end_round,
-];
-
+/// Executes one decoded op, observably identical to one iteration of the
+/// `match` loop in `Machine::round_match`. This `match` is the single
+/// opcode → handler map of the production core; it compiles to an indexed
+/// jump whose arms inline into the round loop, so the whole per-step state
+/// stays in registers on burner-heavy settle workloads.
 #[inline(always)]
-fn op_halt(_op: DecodedOp, _s: &mut StepLane<'_>) -> StepOutcome {
-    StepOutcome::Halt
-}
-
-#[inline(always)]
-fn op_emit_a(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.io.out_a.push(op.a);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_emit_b(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.io.out_b.push(op.a);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_emit_a_reg(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.io.out_a.push(s.regs.get(op.a) as u8);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_emit_b_reg(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.io.out_b.push(s.regs.get(op.a) as u8);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_read_a(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = match s.io.in_a.get(*s.cur_a) {
-        Some(&b) => {
-            *s.cur_a += 1;
-            b as u64
+fn exec_op(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
+    let (a, b) = (op.a as usize, op.b as usize);
+    match op.op {
+        Op::Halt => return StepOutcome::Halt,
+        Op::EndRound => return StepOutcome::End,
+        Op::EmitA => s.io.out_a.push(op.a),
+        Op::EmitB => s.io.out_b.push(op.a),
+        Op::EmitAReg => s.io.out_a.push(s.regs[a] as u8),
+        Op::EmitBReg => s.io.out_b.push(s.regs[a] as u8),
+        Op::ReadA => {
+            s.regs[a] = match s.io.in_a.get(s.cur_a) {
+                Some(&byte) => {
+                    s.cur_a += 1;
+                    byte as u64
+                }
+                None => EXHAUSTED,
+            }
         }
-        None => EXHAUSTED,
-    };
-    s.regs.set(op.a, v);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_read_b(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = match s.io.in_b.get(*s.cur_b) {
-        Some(&b) => {
-            *s.cur_b += 1;
-            b as u64
+        Op::ReadB => {
+            s.regs[a] = match s.io.in_b.get(s.cur_b) {
+                Some(&byte) => {
+                    s.cur_b += 1;
+                    byte as u64
+                }
+                None => EXHAUSTED,
+            }
         }
-        None => EXHAUSTED,
-    };
-    s.regs.set(op.a, v);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_const(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.regs.set(op.a, op.b as u64);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_add(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = s.regs.get(op.a).wrapping_add(s.regs.get(op.b));
-    s.regs.set(op.a, v);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_inc(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = s.regs.get(op.a).wrapping_add(1);
-    s.regs.set(op.a, v);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_jmp_if_zero(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    *s.pc = if s.regs.get(op.a) == 0 { op.target as usize } else { op.next as usize };
+        Op::Const => s.regs[a] = op.b as u64,
+        Op::Add => s.regs[a] = s.regs[a].wrapping_add(s.regs[b]),
+        Op::Inc => s.regs[a] = s.regs[a].wrapping_add(1),
+        Op::JmpIfZero => {
+            s.pc = if s.regs[a] == 0 { op.target } else { op.next } as usize;
+            return StepOutcome::Continue;
+        }
+        Op::Jmp => {
+            s.pc = op.target as usize;
+            return StepOutcome::Continue;
+        }
+        Op::CopyA => {
+            let io = &mut *s.io;
+            let rest = &io.in_a[s.cur_a.min(io.in_a.len())..];
+            if op.a == 0 {
+                io.out_a.extend_from_slice(rest);
+            } else {
+                io.out_b.extend_from_slice(rest);
+            }
+            s.cur_a = io.in_a.len();
+        }
+        Op::CopyB => {
+            let io = &mut *s.io;
+            let rest = &io.in_b[s.cur_b.min(io.in_b.len())..];
+            if op.a == 0 {
+                io.out_a.extend_from_slice(rest);
+            } else {
+                io.out_b.extend_from_slice(rest);
+            }
+            s.cur_b = io.in_b.len();
+        }
+        Op::AddConst => s.regs[a] = s.regs[a].wrapping_add(op.b as u64),
+    }
+    s.pc = op.next as usize;
     StepOutcome::Continue
 }
 
-#[inline(always)]
-fn op_jmp(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    *s.pc = op.target as usize;
-    StepOutcome::Continue
-}
-
-#[inline(always)]
-fn op_copy_a(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let io = &mut *s.io;
-    let rest = &io.in_a[(*s.cur_a).min(io.in_a.len())..];
-    if op.a == 0 {
-        io.out_a.extend_from_slice(rest);
-    } else {
-        io.out_b.extend_from_slice(rest);
-    }
-    *s.cur_a = io.in_a.len();
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_copy_b(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let io = &mut *s.io;
-    let rest = &io.in_b[(*s.cur_b).min(io.in_b.len())..];
-    if op.a == 0 {
-        io.out_a.extend_from_slice(rest);
-    } else {
-        io.out_b.extend_from_slice(rest);
-    }
-    *s.cur_b = io.in_b.len();
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_add_const(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = s.regs.get(op.a).wrapping_add(op.b as u64);
-    s.regs.set(op.a, v);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_end_round(_op: DecodedOp, _s: &mut StepLane<'_>) -> StepOutcome {
-    StepOutcome::End
-}
-
-/// A program predecoded for jump-table dispatch: one op per **byte offset**
-/// (jumps may land mid-instruction, so every offset is a legal entry point),
-/// with fall-through and jump targets resolved up front. One decode is
-/// shared by every round of a machine and by every lane of a
-/// [`BatchVm`](crate::batch::BatchVm) running the same program.
-#[derive(Clone, Debug)]
-pub struct DecodedProgram {
-    code: Box<[u8]>,
+/// A program predecoded for the production core: one op per **byte
+/// offset** (jumps may land mid-instruction, so every offset is a legal
+/// entry point), with fall-through and jump targets resolved up front.
+/// Built once per machine and shared by every round (and by clones).
+#[derive(Debug)]
+struct DecodedProgram {
     ops: Box<[DecodedOp]>,
 }
 
 impl DecodedProgram {
-    /// Predecodes `program` at every byte offset, flattening each [`Instr`]
-    /// into its dense opcode index and raw operands.
-    pub fn new(program: &Program) -> Self {
+    /// Predecodes `program` at every byte offset.
+    fn new(program: &Program) -> Self {
         let code = program.as_bytes();
         let len = code.len();
         let ops = (0..len)
@@ -673,65 +524,7 @@ impl DecodedProgram {
                 DecodedOp { op, a, b, next: (pos + used) as u32, target }
             })
             .collect();
-        DecodedProgram { code: code.into(), ops }
-    }
-
-    /// The raw program bytes this table was built from.
-    pub fn code(&self) -> &[u8] {
-        &self.code
-    }
-
-    /// Code length in bytes (== number of decoded slots).
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// `true` for the empty program.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Executes the instruction at `*lane.pc` through the dispatch table,
-    /// observably identical to one iteration of the scalar `match` loop.
-    /// The caller owns the fuel and retired-instruction accounting (charged
-    /// *before* this call, as the scalar loop does).
-    #[inline(always)]
-    pub(crate) fn step(&self, lane: &mut StepLane<'_>) -> StepOutcome {
-        let op = self.ops[*lane.pc];
-        exec_op(op, lane)
-    }
-}
-
-/// Executes one decoded op: semantically `DISPATCH[op.op](op, lane)`, written
-/// as a `match` on the dense opcode index. Both forms compile to an indexed
-/// jump through a constant table, but the `match` keeps the handler bodies
-/// inlinable into the scalar and batch round loops — an indirect call through
-/// the fn-pointer table is an inlining barrier that costs ~1.5x on
-/// burner-heavy settle workloads, where the whole per-step state otherwise
-/// lives in registers. The `const` table stays the canonical opcode → handler
-/// map: the (unreachable by [`flatten`] construction) default arm routes
-/// through it, and `exec_op_agrees_with_dispatch_table` pins each arm to its
-/// table slot.
-#[inline(always)]
-fn exec_op(op: DecodedOp, lane: &mut StepLane<'_>) -> StepOutcome {
-    match op.op {
-        0 => op_halt(op, lane),
-        1 => op_emit_a(op, lane),
-        2 => op_emit_b(op, lane),
-        3 => op_emit_a_reg(op, lane),
-        4 => op_emit_b_reg(op, lane),
-        5 => op_read_a(op, lane),
-        6 => op_read_b(op, lane),
-        7 => op_const(op, lane),
-        8 => op_add(op, lane),
-        9 => op_inc(op, lane),
-        10 => op_jmp_if_zero(op, lane),
-        11 => op_jmp(op, lane),
-        12 => op_copy_a(op, lane),
-        13 => op_copy_b(op, lane),
-        14 => op_add_const(op, lane),
-        15 => op_end_round(op, lane),
-        _ => DISPATCH[op.op as usize](op, lane),
+        DecodedProgram { ops }
     }
 }
 
@@ -897,40 +690,5 @@ mod tests {
             })
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn exec_op_agrees_with_dispatch_table() {
-        // `exec_op`'s match arms and the `DISPATCH` slots must decode the
-        // same opcode → handler map: run every opcode through both from an
-        // identical starting state and compare the full observable effect.
-        for idx in 0..OPCODE_COUNT {
-            let op = DecodedOp { op: idx, a: 1, b: 2, next: 7, target: 3 };
-            let run = |dispatch: &dyn Fn(DecodedOp, &mut StepLane<'_>) -> StepOutcome| {
-                let mut pc = 0usize;
-                let mut regs = [0u64; REG_COUNT];
-                regs[1] = 5;
-                regs[2] = 9;
-                let mut io = RoundIo::with_inputs(b"ab".as_slice(), b"cd".as_slice());
-                let mut cur_a = 1usize;
-                let mut cur_b = 0usize;
-                let outcome = {
-                    let mut lane = StepLane {
-                        pc: &mut pc,
-                        regs: RegLane::scalar(&mut regs),
-                        io: &mut io,
-                        cur_a: &mut cur_a,
-                        cur_b: &mut cur_b,
-                    };
-                    dispatch(op, &mut lane)
-                };
-                (outcome, pc, regs, io.out_a, io.out_b, cur_a, cur_b)
-            };
-            assert_eq!(
-                run(&exec_op),
-                run(&DISPATCH[idx as usize]),
-                "opcode {idx}: match arm and table slot disagree"
-            );
-        }
     }
 }

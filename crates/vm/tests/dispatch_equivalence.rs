@@ -1,16 +1,17 @@
-//! The dispatch table must be *unobservable*: for any program, fuel, and
-//! inbox history, the table-dispatch core (`GOC_DISPATCH=1`), the scalar
-//! `match` loop (`GOC_DISPATCH=0`), and the lockstep batch interpreter
-//! produce byte-identical outboxes, halt payloads, registers, and
-//! retired-instruction counts. Checked by the seeded `goc-testkit` harness
-//! over random programs × random inboxes × random fuel.
+//! The production core must be *unobservable*: for any program, fuel, and
+//! inbox history, the predecoded production core and the specification
+//! `match` loop (forced via `with_dispatch(false, ..)`) produce
+//! byte-identical outboxes, halt payloads, registers, and
+//! retired-instruction counts — for a bare [`Machine`] and for a mounted
+//! [`VmUser`], with the candidate cache on and off. Checked by the seeded
+//! `goc-testkit` harness over random programs × random inboxes × random
+//! fuel.
 
 use goc_core::msg::{Message, UserIn};
 use goc_core::rng::GocRng;
 use goc_core::strategy::{StepCtx, UserStrategy};
 use goc_testkit::{check, gens, prop_assert_eq};
 use goc_vm::adapter::VmUser;
-use goc_vm::batch::BatchVm;
 use goc_vm::dispatch::with_dispatch;
 use goc_vm::instr::REG_COUNT;
 use goc_vm::machine::{Machine, RoundIo};
@@ -45,61 +46,25 @@ fn drive_scalar(
     })
 }
 
-/// Drives every program as one lane of a [`BatchVm`] over the same rounds.
-fn drive_batch(
-    programs: &[Program],
-    fuel: u32,
-    rounds: &[(Vec<u8>, Vec<u8>)],
-) -> Vec<Vec<RoundState>> {
-    let mut vm = BatchVm::new();
-    for p in programs {
-        vm.push(p, fuel);
-    }
-    let mut out: Vec<Vec<RoundState>> = vec![Vec::new(); programs.len()];
-    for (a, b) in rounds {
-        let mut ios: Vec<RoundIo> =
-            programs.iter().map(|_| RoundIo::with_inputs(a.clone(), b.clone())).collect();
-        vm.round(&mut ios);
-        for (lane, states) in out.iter_mut().enumerate() {
-            states.push((
-                ios[lane].out_a.clone(),
-                ios[lane].out_b.clone(),
-                vm.halted(lane).map(<[u8]>::to_vec),
-                vm.regs(lane),
-                vm.instructions_retired(lane),
-            ));
-        }
-    }
-    out
-}
-
-/// Table dispatch ≡ `match` dispatch ≡ batch execution, observably, for
-/// random programs × random inboxes × random fuel.
+/// Production core ≡ specification `match` loop, observably, for random
+/// programs × random inboxes × random fuel.
 #[test]
-fn table_match_and_batch_dispatch_agree() {
+fn table_and_match_dispatch_agree() {
     let round_inputs = gens::tuple2(gens::bytes(0, 6), gens::bytes(0, 6));
     let trial = gens::tuple3(
         gens::vec_of(gens::bytes(0, 14), 1, 6),
         gens::u32_in(8, 512),
         gens::vec_of(round_inputs, 1, 8),
     );
-    check("table_match_and_batch_dispatch_agree", trial, |(codes, fuel, rounds)| {
-        let programs: Vec<Program> =
-            codes.iter().map(|c| Program::from_bytes(c.clone())).collect();
-        let batched = drive_batch(&programs, *fuel, rounds);
-        for (i, p) in programs.iter().enumerate() {
-            let via_match = drive_scalar(false, p, *fuel, rounds);
-            let via_table = drive_scalar(true, p, *fuel, rounds);
+    check("table_and_match_dispatch_agree", trial, |(codes, fuel, rounds)| {
+        for (i, code) in codes.iter().enumerate() {
+            let p = Program::from_bytes(code.clone());
+            let via_match = drive_scalar(false, &p, *fuel, rounds);
+            let via_table = drive_scalar(true, &p, *fuel, rounds);
             prop_assert_eq!(
                 &via_table,
                 &via_match,
                 "table vs match diverged on program {i} ({:?})",
-                p.as_bytes()
-            );
-            prop_assert_eq!(
-                &batched[i],
-                &via_match,
-                "batch vs match diverged on program {i} ({:?})",
                 p.as_bytes()
             );
         }
@@ -107,8 +72,9 @@ fn table_match_and_batch_dispatch_agree() {
     });
 }
 
-/// Drives a [`VmUser`] over `inputs`, collecting per-round outputs and halts.
-fn drive_user(user: &mut dyn UserStrategy, inputs: &[(Vec<u8>, Vec<u8>)]) -> Vec<RoundState> {
+/// Drives a [`VmUser`] over `inputs`, collecting per-round outputs, halts
+/// and machine state.
+fn drive_user(user: &mut VmUser, inputs: &[(Vec<u8>, Vec<u8>)]) -> Vec<RoundState> {
     let mut rng = GocRng::seed_from_u64(0);
     let mut out = Vec::new();
     for (round, (a, b)) in inputs.iter().enumerate() {
@@ -123,16 +89,20 @@ fn drive_user(user: &mut dyn UserStrategy, inputs: &[(Vec<u8>, Vec<u8>)]) -> Vec
         out.push((
             o.to_server.as_bytes().to_vec(),
             o.to_world.as_bytes().to_vec(),
-            user.halted().map(|h| h.output.as_bytes().to_vec()),
-            [0u64; REG_COUNT], // registers may lag under the cache; not compared here
-            0,
+            UserStrategy::halted(user).map(|h| h.output.as_bytes().to_vec()),
+            *user.machine().regs(),
+            user.machine().instructions_retired(),
         ));
     }
     out
 }
 
-/// The flag is also inert one layer up: a mounted [`VmUser`] (cache on and
-/// off) steps identically whatever `GOC_DISPATCH` says.
+/// The core is also inert one layer up: a mounted [`VmUser`] (cache on and
+/// off) steps through [`Machine::round`], so it produces the same outputs,
+/// halts, registers and retired counts on either core. Each run starts
+/// from an empty candidate cache, so cached rounds miss and execute on the
+/// core under test instead of being served from the other run's entries
+/// (no other test in this binary touches the cache).
 #[test]
 fn vm_user_is_invariant_across_dispatch_modes() {
     let round_inputs = gens::tuple2(gens::bytes(0, 5), gens::bytes(0, 5));
@@ -145,6 +115,7 @@ fn vm_user_is_invariant_across_dispatch_modes() {
         for cache in [false, true] {
             let run = |table: bool| {
                 with_dispatch(table, || {
+                    goc_vm::cache::clear();
                     let program = Program::from_bytes(code.clone());
                     let mut user =
                         VmUser::with_fuel(program, *fuel).with_cache_enabled(cache);
@@ -156,7 +127,7 @@ fn vm_user_is_invariant_across_dispatch_modes() {
             prop_assert_eq!(
                 &via_table,
                 &via_match,
-                "VmUser diverged across dispatch modes (cache={cache})"
+                "VmUser diverged across cores (cache={cache})"
             );
         }
         Ok(())

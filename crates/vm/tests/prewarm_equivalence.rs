@@ -1,5 +1,5 @@
 //! The background prewarm must be *unobservable*: cache entries it fills
-//! (first rounds, fixed-point-replicated ones, predicted chains) are
+//! (executed empty-inbox rounds and fixed-point-replicated ones) are
 //! value-identical to what scalar execution would compute for the same
 //! `(program, fuel, prefix)` — outboxes, halt payload, and the registers
 //! and cumulative retired count a live user adopts on a hit — and
@@ -13,34 +13,37 @@ use goc_core::par::{with_prewarm, with_thread_count};
 use goc_core::rng::GocRng;
 use goc_core::strategy::{StepCtx, UserStrategy};
 use goc_testkit::{check, gens, prop_assert_eq};
-use goc_vm::adapter::{prewarm_batch, prewarm_deep, VmUser};
+use goc_vm::adapter::{prewarm_deep, VmUser};
 use goc_vm::cache::{self, CachedRound};
+use goc_vm::dispatch::with_dispatch;
 use goc_vm::machine::{Machine, RoundIo};
 use goc_vm::program::Program;
 use goc_vm::ProgramEnumerator;
 
-/// What a scalar [`Machine`] computes for each round of `inputs`, as the
-/// cache entry a live user would record: outboxes, halt payload, registers
-/// and cumulative retired count. Stops after the halting round (a halted
-/// user records nothing further).
+/// What a scalar [`Machine`] on the specification `match` loop computes for
+/// each round of `inputs`, as the cache entry a live user would record:
+/// outboxes, halt payload, registers and cumulative retired count. Stops
+/// after the halting round (a halted user records nothing further).
 fn scalar_rounds(program: &Program, fuel: u32, inputs: &[(Vec<u8>, Vec<u8>)]) -> Vec<CachedRound> {
-    let mut m = Machine::with_fuel(program.clone(), fuel);
-    let mut rounds = Vec::new();
-    for (a, b) in inputs {
-        let mut io = RoundIo::with_inputs(a.clone(), b.clone());
-        m.round(&mut io);
-        rounds.push(CachedRound {
-            out_a: io.out_a,
-            out_b: io.out_b,
-            halted: m.halted().map(<[u8]>::to_vec),
-            regs: *m.regs(),
-            retired: m.instructions_retired(),
-        });
-        if m.halted().is_some() {
-            break;
+    with_dispatch(false, || {
+        let mut m = Machine::with_fuel(program.clone(), fuel);
+        let mut rounds = Vec::new();
+        for (a, b) in inputs {
+            let mut io = RoundIo::with_inputs(a.clone(), b.clone());
+            m.round(&mut io);
+            rounds.push(CachedRound {
+                out_a: io.out_a,
+                out_b: io.out_b,
+                halted: m.halted().map(<[u8]>::to_vec),
+                regs: *m.regs(),
+                retired: m.instructions_retired(),
+            });
+            if m.halted().is_some() {
+                break;
+            }
         }
-    }
-    rounds
+        rounds
+    })
 }
 
 /// The cache entries along `inputs`' prefix chain for `program` (`None`
@@ -94,8 +97,8 @@ fn drive(
 /// — executed or replicated from a detected fixed point — equals what the
 /// scalar machine computes for that round, registers and cumulative retired
 /// count included, for random programs and fuels. A lone `jmp` is always
-/// in the batch: it burns its fuel without touching a register, so its
-/// chain is filled from round 1 on.
+/// among the candidates: it burns its fuel without touching a register, so
+/// its chain is filled from round 1 on.
 #[test]
 fn prewarm_entries_match_scalar_execution() {
     let trial = gens::tuple3(
@@ -107,11 +110,11 @@ fn prewarm_entries_match_scalar_execution() {
         let mut programs: Vec<Program> =
             codes.iter().map(|c| Program::from_bytes(c.clone())).collect();
         programs.push(Program::from_bytes(vec![0x0b]));
-        let mut users: Vec<VmUser> = programs
+        let users: Vec<VmUser> = programs
             .iter()
             .map(|p| VmUser::with_fuel(p.clone(), *fuel).with_cache_enabled(true))
             .collect();
-        goc_core::par::with_prewarm(true, || prewarm_deep(users.iter_mut(), *depth));
+        prewarm_deep(&users, *depth);
         let empty_rounds = vec![(Vec::new(), Vec::new()); *depth];
         for p in &programs {
             let truth = scalar_rounds(p, *fuel, &empty_rounds);
@@ -125,29 +128,6 @@ fn prewarm_entries_match_scalar_execution() {
                 };
                 prop_assert_eq!(entry, truth, "entry for round {r} of {:?}", p.as_bytes());
             }
-        }
-        Ok(())
-    });
-}
-
-/// The first-round entries `prewarm_batch` records for a freshly spawned
-/// generation equal the scalar machine's round 0, state included.
-#[test]
-fn first_round_entries_match_scalar_execution() {
-    let trial = gens::tuple2(gens::vec_of(gens::bytes(0, 12), 1, 6), gens::u32_in(16, 512));
-    check("first_round_entries_match_scalar_execution", trial, |(codes, fuel)| {
-        let programs: Vec<Program> =
-            codes.iter().map(|c| Program::from_bytes(c.clone())).collect();
-        let mut users: Vec<VmUser> = programs
-            .iter()
-            .map(|p| VmUser::with_fuel(p.clone(), *fuel).with_cache_enabled(true))
-            .collect();
-        prewarm_batch(users.iter_mut());
-        let first = [(Vec::new(), Vec::new())];
-        for p in &programs {
-            let truth = scalar_rounds(p, *fuel, &first);
-            let entry = chain_entries(p, *fuel, &first).remove(0);
-            prop_assert_eq!(entry.as_ref(), truth.first(), "round 0 of {:?}", p.as_bytes());
         }
         Ok(())
     });
@@ -167,67 +147,13 @@ fn prewarmed_candidates_serve_nonempty_histories_correctly() {
     check("prewarmed_candidates_serve_nonempty_histories_correctly", trial, |(code, fuel, inputs)| {
         let program = Program::from_bytes(code.clone());
         let mut warmed = VmUser::with_fuel(program.clone(), *fuel).with_cache_enabled(true);
-        goc_core::par::with_prewarm(true, || prewarm_deep([&mut warmed], 16));
+        prewarm_deep([&warmed], 16);
         let mut scalar = VmUser::with_fuel(program, *fuel).with_cache_enabled(false);
         let truth = drive(&mut scalar, inputs);
         let got = drive(&mut warmed, inputs);
         prop_assert_eq!(&got, &truth, "prewarmed candidate diverged on a live history");
         Ok(())
     });
-}
-
-/// Predicted-prefix speculation records value-identical entries: teach the
-/// predictor a continuation for an echoer's first-output class, prewarm,
-/// and every entry along the speculated stationary chain must equal what
-/// scalar execution computes for that exact history.
-#[test]
-fn predicted_prefix_entries_match_scalar_execution() {
-    use goc_vm::instr::{Chan, Instr};
-    use goc_vm::predict;
-
-    // An echoer with a distinctive first round: says "Q7", then copies the
-    // server's reply back every round. Its later rounds depend on the inbox,
-    // so the empty chain alone cannot warm it against a talkative peer.
-    let program = Program::assemble(&[
-        Instr::EmitA(b'Q'),
-        Instr::EmitA(b'7'),
-        Instr::CopyA(Chan::A),
-        Instr::EndRound,
-    ]);
-    let fuel = 64u32;
-    let depth = 8usize;
-    // The class key is the signature of the round-0 outputs on the
-    // canonical all-empty inbox.
-    let sig = {
-        let mut m = Machine::with_fuel(program.clone(), fuel);
-        let mut io = RoundIo::default();
-        m.round(&mut io);
-        predict::signature(&io.out_a, &io.out_b)
-    };
-    // Teach the predictor (repeatedly, so concurrent tests recording into a
-    // colliding class cannot push this continuation out of the top-K).
-    for _ in 0..5 {
-        predict::record_outcome(sig, b"ping", b"");
-    }
-    let mut warmed = VmUser::with_fuel(program.clone(), fuel).with_cache_enabled(true);
-    with_prewarm(true, || prewarm_deep([&mut warmed], depth));
-    // Ground truth: a scalar user over the speculated history — one empty
-    // round, then the stationary predicted inbox.
-    let mut inputs = vec![(Vec::new(), Vec::new())];
-    inputs.extend(std::iter::repeat_n((b"ping".to_vec(), Vec::new()), depth - 1));
-    let truth = scalar_rounds(&program, fuel, &inputs);
-    assert_eq!(truth.len(), depth, "the echoer never halts");
-    let entries = chain_entries(&program, fuel, &inputs);
-    for (r, (truth, entry)) in truth.iter().zip(entries).enumerate() {
-        let entry =
-            entry.unwrap_or_else(|| panic!("round {r} of the predicted chain is not memoised"));
-        assert_eq!(&entry, truth, "entry for round {r}");
-    }
-    // Serving the warmed user that exact history must also be correct.
-    let mut scalar = VmUser::with_fuel(program.clone(), fuel).with_cache_enabled(false);
-    let truth = drive(&mut scalar, &inputs);
-    let got = drive(&mut warmed, &inputs);
-    assert_eq!(got, truth, "warmed candidate diverged on the predicted history");
 }
 
 /// `ProgramEnumerator::batch` (with `prefetch`) yields behaviourally
@@ -244,18 +170,16 @@ fn batch_is_invariant_across_prewarm_and_threads() {
         let run = |threads: usize, prewarm: bool| {
             with_thread_count(threads, || {
                 with_prewarm(prewarm, || {
-                    goc_vm::batch::with_batch(true, || {
-                        let class = ProgramEnumerator::over(vec![0x0b, 0x01, b'h'])
-                            .with_max_len(3)
-                            .with_fuel(*fuel)
-                            .with_cache(true);
-                        class.prefetch(indices);
-                        class
-                            .batch(indices)
-                            .into_iter()
-                            .map(|u| u.map(|mut u| drive(u.as_mut(), inputs)))
-                            .collect::<Vec<_>>()
-                    })
+                    let class = ProgramEnumerator::over(vec![0x0b, 0x01, b'h'])
+                        .with_max_len(3)
+                        .with_fuel(*fuel)
+                        .with_cache(true);
+                    class.prefetch(indices);
+                    class
+                        .batch(indices)
+                        .into_iter()
+                        .map(|u| u.map(|mut u| drive(u.as_mut(), inputs)))
+                        .collect::<Vec<_>>()
                 })
             })
         };

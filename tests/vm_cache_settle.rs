@@ -1,13 +1,18 @@
 //! The candidate cache is invisible to a whole universal search, not just
 //! to one mounted program: a finite-Levin settle over a class of fuel
 //! burners runs the same rounds and produces the same transcript with the
-//! cache off, with the cache on and cold, and with the cache on and warm
+//! cache off, with the cache on and cold, with the cache on and warm
 //! (where Levin's restarts are served from the cache and every candidate's
-//! machine advances to the memoised post-round state instead of executing).
+//! machine advances to the memoised post-round state instead of executing),
+//! and with the cache on and cold again but with the background prewarm
+//! lane running on a second worker (where idle workers execute the next
+//! lookahead window's empty-inbox rounds, with fixed-point fill, before the
+//! live search reaches them).
 //!
 //! This file holds a single test so that it owns the process-wide cache:
 //! the cold run really starts empty and the warm run really hits.
 
+use goc::core::par::{with_prewarm, with_thread_count};
 use goc::core::toy;
 use goc::prelude::*;
 use goc::vm::cache;
@@ -46,13 +51,15 @@ fn settle(cache_on: bool) -> (u64, String) {
 fn levin_settle_is_identical_cache_off_cold_and_warm() {
     let (off_round, off_transcript) = settle(false);
 
+    // The cold and warm arms pin the prewarm lane off, so they run inline
+    // on any host; the last arm runs it explicitly.
     cache::clear();
     cache::reset_stats();
-    let (cold_round, cold_transcript) = settle(true);
+    let (cold_round, cold_transcript) = with_prewarm(false, || settle(true));
     let cold = cache::stats();
 
     cache::reset_stats();
-    let (warm_round, warm_transcript) = settle(true);
+    let (warm_round, warm_transcript) = with_prewarm(false, || settle(true));
     let warm = cache::stats();
 
     assert_eq!(cold_round, off_round, "cold cached settle round differs from uncached");
@@ -65,4 +72,13 @@ fn levin_settle_is_identical_cache_off_cold_and_warm() {
     assert!(cold.hits > 0 && cold.misses > 0, "cold run should both hit and miss: {cold:?}");
     assert!(warm.hits > 0, "warm run never hit: {warm:?}");
     assert!(warm.misses < cold.misses, "warm run missed as often as cold: {cold:?} vs {warm:?}");
+
+    cache::clear();
+    let (prewarmed_round, prewarmed_transcript) =
+        with_thread_count(2, || with_prewarm(true, || settle(true)));
+    assert_eq!(prewarmed_round, off_round, "prewarmed settle round differs from uncached");
+    assert!(
+        prewarmed_transcript == off_transcript,
+        "prewarmed transcript differs from uncached"
+    );
 }
